@@ -22,9 +22,8 @@ from .gamma import Flag, Gamma, GammaLine, build_gamma, flag_count
 from .gf import (AutSpec, FieldCtx, apply_sigma, apply_sigma_inverse,
                  make_autspec, make_field, norm)
 from .hyperplanes import (FpfWitness, HyperplaneReport, SearchBudgetExhausted,
-                          SpreadWitness, base_cardinality, classify,
-                          find_fpf_collineation, find_spread,
-                          norm_proportional, phi_fixed_points,
+                          base_cardinality, classify, find_fpf_collineation,
+                          find_spread, norm_proportional, phi_fixed_points,
                           quasi_singular_cardinality, singular_cardinality,
                           spread_type_cardinality)
 from .projgeom import (ProjClass, class_index, class_reps_range, enumerate_pg,
@@ -38,7 +37,7 @@ __all__ = [
     "FpfWitness", "Gamma", "GammaLine", "HyperplaneReport", "MaxThetaReport",
     "MinimalityReport", "ProjClass", "ProjectiveSystem",
     "SearchBudgetExhausted", "SecondWeightReport", "SpectrumTable",
-    "SplitMix64", "SpreadWitness", "ThetaReport", "act",
+    "SplitMix64", "ThetaReport", "act",
     "apply_sigma", "apply_sigma_inverse", "automorphism_check",
     "base_cardinality", "build_gamma", "build_system", "class_index",
     "class_reps_range", "classify", "closed_form_min_distance",

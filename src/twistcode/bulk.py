@@ -9,19 +9,19 @@ breaks) byte-identical regardless of the worker count.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 
 import numpy as np
 
 from .embedding import build_system
 from .gf import make_autspec, make_field
-from .projgeom import class_reps_range, enumerate_lines, num_classes
+from .linalg import _rank_upto
+from .projgeom import class_reps_range, enumerate_lines
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
 DEFAULT_CHUNK = 1 << 18
-
-_BUNDLES: dict[tuple, "_Bundle"] = {}
 
 
 class _Bundle:
@@ -83,12 +83,9 @@ class _Bundle:
         return self._dual_line_masks
 
 
-def _bundle(cfg: tuple) -> "_Bundle":
-    b = _BUNDLES.get(cfg)
-    if b is None:
-        b = _Bundle(cfg)
-        _BUNDLES[cfg] = b
-    return b
+@functools.lru_cache(maxsize=None)
+def _bundle(cfg: tuple) -> _Bundle:
+    return _Bundle(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +225,11 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     if opts["kind"] == "minimality":
         _, mask = zero_counts_batch(b, R, full_mask=True)
         target = b.k - 1
+        rows = b.flat_rows.__getitem__
         bad = []
         for bi in range(R.shape[0]):
-            rows_idx = np.flatnonzero(mask[bi])
-            if not _rank_reaches(b, rows_idx, target):
+            zero_rows = map(rows, np.flatnonzero(mask[bi]).tolist())
+            if _rank_upto(b.ctx, zero_rows, b.k, target) < target:
                 bad.append(start + bi)
         out["bad"] = bad[:16]
         out["bad_count"] = len(bad)
@@ -295,40 +293,6 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     return out
 
 
-def _rank_reaches(b: _Bundle, rows_idx, target: int) -> bool:
-    """Early-exit incremental rank of selected system rows."""
-    add, mul, inv, neg = b.ctx.add, b.ctx.mul, b.ctx.inv, b.ctx.neg
-    k = b.k
-    flat_rows = b.flat_rows
-    pivots: dict[int, list[int]] = {}
-    npiv = 0
-    for ri in rows_idx.tolist():
-        row = list(flat_rows[ri])
-        c = 0
-        while c < k:
-            v = row[c]
-            if v:
-                piv = pivots.get(c)
-                if piv is None:
-                    if v != 1:
-                        f = inv(v)
-                        for cc in range(c, k):
-                            if row[cc]:
-                                row[cc] = mul(f, row[cc])
-                    pivots[c] = row
-                    npiv += 1
-                    if npiv >= target:
-                        return True
-                    break
-                nc = neg(v)
-                for cc in range(c, k):
-                    pv = piv[cc]
-                    if pv:
-                        row[cc] = add(row[cc], mul(nc, pv))
-            c += 1
-    return npiv >= target
-
-
 def _sweep_chunk_star(args):
     return sweep_chunk(*args)
 
@@ -344,10 +308,6 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
     args = [(cfg, opts, s, e) for s, e in ranges]
     with mp.get_context("fork").Pool(processes=threads) as pool:
         yield from pool.imap(_sweep_chunk_star, args, chunksize=1)
-
-
-def matrix_class_count(q: int, k: int) -> int:
-    return num_classes(q, k)
 
 
 # ---------------------------------------------------------------------------

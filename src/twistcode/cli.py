@@ -12,11 +12,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from types import SimpleNamespace
+from typing import NoReturn
 
 from . import code as code_ops
 from . import hyperplanes as hp
 from .embedding import make_system
+from .gamma import flag_count
 from .gf import make_autspec, make_field
+from .projgeom import num_classes
 
 SCHEMA_VERSION = 1
 
@@ -86,6 +90,15 @@ def _resolve_config(args) -> tuple[int, int, int, tuple | None]:
     return p, t, j, modulus
 
 
+def _check_counts(args) -> None:
+    """Reject counts no run can use, for whichever subcommand takes them."""
+    for name, low in (("threads", 1), ("attempts", 1), ("trials", 0),
+                      ("nonkernel", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name} must be >= {low}, got {value}")
+
+
 def _parse_matrix(text: str, m: int) -> list[list[int]]:
     try:
         rows = [[int(e) for e in row.split(",")] for row in text.split(";")]
@@ -123,20 +136,20 @@ def _emit(args, payload: dict | str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_params(args) -> dict:
+    # closed forms only: building the system could exceed FLAG_CAP, and the
+    # formulas below read nothing of a system but its ctx, spec and n
     p, t, j, modulus = _resolve_config(args)
     ctx = make_field(p, t, modulus)
-    spec = make_autspec(ctx, j)
+    profile = SimpleNamespace(ctx=ctx, spec=make_autspec(ctx, j), n=args.n)
     q, n = ctx.q, args.n
-    N = (q ** (n + 1) - 1) * (q ** n - 1) // (q - 1) ** 2
     k = (n + 1) ** 2
-    dim = k if j else k - 1
-    out = {
-        "length": N,
+    return {
+        "length": flag_count(q, n),
         "ambient_dimension": k,
-        "code_dimension": dim,
-        "matrix_classes": (q ** k - 1) // (q - 1),
-        "point_classes": (q ** (n + 1) - 1) // (q - 1),
-        "theta_bounds": {str(r): code_ops.m_bound(r, q, n, spec.s)
+        "code_dimension": k if j else k - 1,
+        "matrix_classes": num_classes(q, k),
+        "point_classes": num_classes(q, n + 1),
+        "theta_bounds": {str(r): code_ops.m_bound(r, q, n, profile.spec.s)
                          for r in range(1, n + 2)},
         "cardinalities": {
             "base": hp.base_cardinality(q, n),
@@ -144,19 +157,10 @@ def _cmd_params(args) -> dict:
             "quasi_singular": hp.quasi_singular_cardinality(q, n),
             "spread_type": hp.spread_type_cardinality(q, n),
         },
+        "min_distance": (code_ops.closed_form_min_distance(profile)
+                         if j and n >= 2 else None),
+        "config": _config_payload(profile),
     }
-    if j and n >= 2:
-        d = q ** 3 - spec.s ** 3 if (spec.order == 2 and n == 2) \
-            else q ** (2 * n - 1) - q ** (n - 1)
-        out["min_distance"] = d
-    else:
-        out["min_distance"] = None
-    out["config"] = {
-        "q": q, "p": p, "t": t, "modulus": list(ctx.modulus), "n": n,
-        "j": spec.j, "sigma_exponent": spec.exponent,
-        "fixed_subfield": spec.s, "sigma_order": spec.order,
-    }
-    return out
 
 
 def _system(args, allow_identity: bool = False):
@@ -254,21 +258,8 @@ def _cmd_minwords(args) -> dict:
     return {"config": _config_payload(ps), **res}
 
 
-def _cmd_spread(args) -> dict:
-    ps = _system(args)
-    w = hp.find_spread(ps, attempts=args.attempts, seed=args.seed)
-    q, n = ps.ctx.q, ps.n
-    return {
-        "config": _config_payload(ps),
-        "seed": w.seed,
-        "matrix": w.matrix.tolist(),
-        "type": "spread_type",
-        "theta": w.theta,
-        "weight": q ** (n - 1) * ((q ** (n + 1) - 1) // (q - 1)),
-        "cardinality": w.cardinality,
-        "spread_size": w.spread_size,
-        "attempts": w.attempts,
-    }
+def _cmd_spread(args) -> NoReturn:
+    hp.find_spread(_system(args), attempts=args.attempts, seed=args.seed)
 
 
 def _cmd_fpf(args) -> dict:
@@ -402,6 +393,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_counts(args)
         payload = _COMMANDS[args.command](args)
     except hp.SearchBudgetExhausted as exc:
         _emit(args, {

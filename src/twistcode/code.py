@@ -27,8 +27,8 @@ import numpy as np
 from . import bulk
 from .embedding import ProjectiveSystem
 from .gf import AutSpec, FieldCtx, norm
-from .linalg import (as_matrix, dot, invert, left_kernel, matmul, normalize_rep,
-                     rank, scalar_mul, sigma_entrywise, vecmat)
+from .linalg import (as_matrix, dot, invert, is_scalar_matrix, left_kernel,
+                     matmul, normalize_rep, rank, scalar_mul, sigma_entrywise)
 from .projgeom import class_reps_range, enumerate_lines, num_classes
 from .rng import SplitMix64
 
@@ -133,18 +133,16 @@ def eval_codeword(sys: ProjectiveSystem, M) -> Codeword:
     return Codeword(values=acc.astype(ctx.dtype), matrix=M)
 
 
-def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
-    """Fixed-functional count of a nonzero matrix, plus the identity check.
+def _fixed_scan(sys: ProjectiveSystem, M,
+                tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Test xi M = lambda * tau(xi) for every functional class xi.
 
-    Scans every functional class once (lambda is read off at the leading 1
-    of xi, which sigma fixes).  With check_identity the codeword is also
-    evaluated over all flags and the intersection identity asserted; both
-    routes are independent.
+    tau is an entrywise field automorphism given by its table.  Returns
+    (ok, lam) over sys.gamma.funcs_arr, whose row position is the class
+    index; lambda is read off at the leading 1 of xi, which tau fixes,
+    and lam == 0 on an ok row means xi M = 0.
     """
-    ctx, spec = sys.ctx, sys.spec
-    M = as_matrix(ctx, M, square=sys.m)
-    if not M.any():
-        raise ValueError("theta of the zero matrix is undefined")
+    ctx = sys.ctx
     funcs = sys.gamma.funcs_arr
     F, m = funcs.shape
     cols = []
@@ -158,8 +156,23 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
     V = np.stack(cols, axis=1)
     lead = (funcs != 0).argmax(axis=1)
     lam = V[np.arange(F), lead]
-    sxi = spec.table[funcs]
-    ok = (V == ctx.mul_np(lam[:, None], sxi)).all(axis=1)
+    ok = (V == ctx.mul_np(lam[:, None], tau[funcs])).all(axis=1)
+    return ok, lam
+
+
+def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
+    """Fixed-functional count of a nonzero matrix, plus the identity check.
+
+    Scans every functional class once (lambda is read off at the leading 1
+    of xi, which sigma fixes).  With check_identity the codeword is also
+    evaluated over all flags and the intersection identity asserted; both
+    routes are independent.
+    """
+    ctx = sys.ctx
+    M = as_matrix(ctx, M, square=sys.m)
+    if not M.any():
+        raise ValueError("theta of the zero matrix is undefined")
+    ok, lam = _fixed_scan(sys, M, sys.spec.table)
     kernel = int((ok & (lam == 0)).sum())
     prop = int((ok & (lam != 0)).sum())
     th = kernel + prop
@@ -396,20 +409,10 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
 
 def _solutions(sys: ProjectiveSystem, M) -> list[tuple[tuple[int, ...], int]]:
     """All (xi rep, lambda) with xi M = lambda sigma(xi), lambda != 0."""
-    ctx, spec = sys.ctx, sys.spec
-    M = as_matrix(ctx, M, square=sys.m)
-    out = []
-    for fn in sys.gamma.functionals:
-        xi = np.array(fn.rep, dtype=ctx.dtype)
-        v = vecmat(ctx, xi, M)
-        lead = next(i for i, e in enumerate(fn.rep) if e)
-        lam = int(v[lead])
-        if lam == 0:
-            continue
-        sxi = spec.table[xi].astype(ctx.dtype)
-        if np.array_equal(v, scalar_mul(ctx, lam, sxi)):
-            out.append((fn.rep, lam))
-    return out
+    M = as_matrix(sys.ctx, M, square=sys.m)
+    ok, lam = _fixed_scan(sys, M, sys.spec.table)
+    fns = sys.gamma.functionals
+    return [(fns[i].rep, int(lam[i])) for i in np.flatnonzero(ok & (lam != 0))]
 
 
 def min_weight_condition_n2(sys: ProjectiveSystem, M) -> bool:
@@ -628,8 +631,8 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
     probes = 0
     while probes < nonkernel_probes:
         g = random_invertible(ctx, m, rng)
-        scal, alpha = _is_fixed_scalar(ctx, spec, g)
-        if scal:
+        scal, alpha = is_scalar_matrix(ctx, g)
+        if scal and spec.tlist[alpha] == alpha:
             continue
         probes += 1
         moved = False
@@ -656,25 +659,13 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
                               nonkernel_all_moved=moved_all)
 
 
-def _is_fixed_scalar(ctx: FieldCtx, spec: AutSpec, g) -> tuple[bool, int]:
-    g = np.asarray(g)
-    alpha = int(g[0, 0])
-    if alpha == 0 or spec.tlist[alpha] != alpha:
-        return False, alpha
-    expected = scalar_mul(ctx, alpha, np.eye(g.shape[0], dtype=ctx.dtype))
-    return bool(np.array_equal(g.astype(ctx.dtype), expected)), alpha
-
-
 # ---------------------------------------------------------------------------
 # solution bounds (line and subspace)
 # ---------------------------------------------------------------------------
 
 def _solution_index_set(sys: ProjectiveSystem, M) -> set[int]:
-    from .projgeom import class_index
-    idx = set()
-    for rep, _lam in _solutions(sys, M):
-        idx.add(class_index(sys.ctx.q, sys.m, rep))
-    return idx
+    ok, lam = _fixed_scan(sys, M, sys.spec.table)
+    return set(np.flatnonzero(ok & (lam != 0)).tolist())
 
 
 def line_solution_bound(sys: ProjectiveSystem, M) -> dict:

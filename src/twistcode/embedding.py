@@ -22,7 +22,7 @@ import numpy as np
 
 from .gamma import Flag, Gamma, build_gamma
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import dot, pure_tensor, sigma_entrywise, trace_product, vecmat
+from .linalg import _rank_upto, dot, pure_tensor, trace_product, vecmat
 
 
 @dataclass(eq=False)
@@ -78,30 +78,6 @@ def embed_flag(ctx: FieldCtx, spec: AutSpec, flag: Flag) -> np.ndarray:
     return X
 
 
-def _span_rank(ctx: FieldCtx, flat: np.ndarray, k: int) -> int:
-    """Incremental rank of the N x k system matrix, early exit at k."""
-    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    pivots: dict[int, list[int]] = {}
-    for raw in flat.tolist():
-        row = list(map(int, raw))
-        for c in range(k):
-            v = row[c]
-            if not v:
-                continue
-            piv = pivots.get(c)
-            if piv is None:
-                if v != 1:
-                    f = inv(v)
-                    row = [mul(f, e) if e else 0 for e in row]
-                pivots[c] = row
-                break
-            nc = neg(v)
-            row = [add(e, mul(nc, p)) if p else e for e, p in zip(row, piv)]
-        if len(pivots) == k:
-            return k
-    return len(pivots)
-
-
 @functools.lru_cache(maxsize=None)
 def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     """Embed every flag of PG(n, q); cached per (ctx, spec, n).
@@ -140,7 +116,7 @@ def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     lead_vals = flat[np.arange(N), (flat != 0).argmax(axis=1)]
     assert np.all(lead_vals == 1), "system representatives not normalized"
 
-    srank = _span_rank(ctx, flat, m * m)
+    srank = _rank_upto(ctx, flat.tolist(), m * m, m * m)
     expected = m * m if spec.j != 0 else m * m - 1
     if srank != expected:
         raise AssertionError(f"system span rank {srank}, expected {expected}")

@@ -164,15 +164,3 @@ class Gamma:
 def build_gamma(ctx: FieldCtx, n: int) -> Gamma:
     return Gamma(ctx, n)
 
-
-def enumerate_gamma_points(ctx: FieldCtx, n: int) -> list[Flag]:
-    """All flags, functional-major; the geometry is cached per (ctx, n)."""
-    return build_gamma(ctx, n).flags
-
-
-def enumerate_gamma_lines(ctx: FieldCtx, n: int) -> list[GammaLine]:
-    return build_gamma(ctx, n).lines()
-
-
-def is_geometric_hyperplane(gamma: Gamma, flagset) -> tuple[bool, GammaLine | None]:
-    return gamma.is_geometric_hyperplane(flagset)

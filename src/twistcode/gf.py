@@ -545,12 +545,3 @@ def norm(ctx: FieldCtx, spec: AutSpec, a: int) -> int:
                          f"(order is {spec.order})")
     return ctx.mul(a, spec.tlist[a])
 
-
-def sigma_kernel_size(ctx: FieldCtx, spec: AutSpec) -> int:
-    """Number of x != 0 with x^(sigma-1) = 1, i.e. nonzero fixed elements.
-
-    Counted by scan; asserted equal to s - 1 before returning.
-    """
-    count = sum(1 for x in range(1, ctx.q) if spec.tlist[x] == x)
-    assert count == spec.s - 1, (count, spec.s)
-    return count

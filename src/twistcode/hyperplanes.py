@@ -3,23 +3,21 @@
 Every nonzero matrix class [M] determines the flag set {(p, H) : Tr(X M) = 0}
 where X runs over the embedded flags; these sets are geometric hyperplanes
 of the point-hyperplane geometry and their cardinality is controlled by
-theta(M).  Three shapes get names:
+theta(M).  Two shapes get names:
 
   singular                    rank 1, twisted pairing zero; the defining
                               pair is itself a flag of the geometry
   quasi-singular nonsingular  rank 1, twisted pairing nonzero
-  spread type                 sigma involutory, n odd, some scalar multiple
-                              M' satisfies sigma(M') M' = I, and the point
-                              map [x] -> [M sigma(x)] is fixed-point free
-                              (forcing theta(M) = 0)
 
-Everything else is reported as plain; in particular a theta = 0 class
-without the involutory structure is plain even though its flag count
-matches the spread-type cardinality.  Over a finite field the spread-type
-label is unreachable: by Hilbert 90 every M with sigma(M) M a nonzero
-scalar is c * B^(-1) sigma(B), so [x] -> [M sigma(x)] is conjugate to
-entrywise sigma and fixes the (s^(n+1)-1)/(s-1) points of the subfield
-subgeometry PG(n, s).  The branch stays until the dead code is removed.
+Everything else is reported as plain.  A third shape, spread type, would
+need sigma involutory, n odd, some scalar multiple M' with
+sigma(M') M' = I, and the point map [x] -> [M sigma(x)] fixed-point free
+(forcing theta(M) = 0).  Over a finite field it does not occur: by
+Hilbert 90 every M with sigma(M) M a nonzero scalar is c * B^(-1)
+sigma(B), so [x] -> [M sigma(x)] is conjugate to entrywise sigma and
+fixes the (s^(n+1)-1)/(s-1) points of the subfield subgeometry PG(n, s).
+A theta = 0 class is therefore plain, even though its flag count matches
+spread_type_cardinality.
 
 The two constructive searches live here too: find_spread (which tries
 the natural candidates with sigma(M) M = I and, by the argument above,
@@ -32,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
 from . import code as code_ops
 from .embedding import ProjectiveSystem
 from .gf import FieldCtx, make_field
-from .linalg import (as_matrix, dot, invert, matmul, rank, rank1_factor,
-                     scalar_mul, sigma_entrywise, vecmat)
-from .projgeom import class_index, normalize_tuple, span_classes
+from .linalg import (as_matrix, dot, invert, is_scalar_matrix, matmul, rank,
+                     rank1_factor, sigma_entrywise, vecmat)
+from .projgeom import class_index, normalize_tuple
 from .rng import SplitMix64
 
 
@@ -86,26 +85,13 @@ def phi_fixed_points(sys: ProjectiveSystem, M) -> int:
 
     This is the fixed-point count of the semilinear collineation
     [x] -> [M sigma(x)] induced by an invertible M; theta() counts the
-    dual-side analogue.  The scan reads lambda off at the leading 1 of
-    the normalized representative.
+    dual-side analogue.  y = sigma(x) maps normalized representatives
+    onto normalized representatives, and M sigma(x) = lambda x exactly
+    when y M^T = lambda sigma^(-1)(y), so the count is the lambda != 0
+    part of the functional scan with sigma^(-1) on M^T.
     """
-    ctx, spec = sys.ctx, sys.spec
-    M = as_matrix(ctx, M, square=sys.m)
-    pts = sys.gamma.funcs_arr          # every normalized class of F_q^m
-    P, m = pts.shape
-    S = spec.table[pts].astype(ctx.dtype)
-    rows = []
-    for r in range(m):
-        acc = np.zeros(P, dtype=ctx.dtype)
-        for c in range(m):
-            e = int(M[r, c])
-            if e:
-                acc = ctx.add_np(acc, ctx.mul_table[e][S[:, c]])
-        rows.append(acc)
-    V = np.stack(rows, axis=1)
-    lead = (pts != 0).argmax(axis=1)
-    lam = V[np.arange(P), lead]
-    ok = (V == ctx.mul_np(lam[:, None], pts)).all(axis=1)
+    M = as_matrix(sys.ctx, M, square=sys.m)
+    ok, lam = code_ops._fixed_scan(sys, M.T, sys.spec.inv_table)
     return int((ok & (lam != 0)).sum())
 
 
@@ -117,12 +103,9 @@ def norm_proportional(ctx: FieldCtx, spec, M) -> bool:
     to sigma(M) M being a nonzero scalar matrix.
     """
     M = as_matrix(ctx, M, square=None)
-    MsM = matmul(ctx, sigma_entrywise(ctx, spec, M), M)
-    d = int(MsM[0, 0])
-    if d == 0:
-        return False
-    return np.array_equal(
-        MsM, scalar_mul(ctx, d, np.eye(len(M), dtype=ctx.dtype)))
+    scal, d = is_scalar_matrix(
+        ctx, matmul(ctx, sigma_entrywise(ctx, spec, M), M))
+    return scal and d != 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +114,7 @@ def norm_proportional(ctx: FieldCtx, spec, M) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class HyperplaneReport:
-    kind: str                  # singular | quasi_singular | spread_type | plain
+    kind: str                  # singular | quasi_singular | plain
     rank: int
     theta: int
     cardinality: int           # flags in the hyperplane
@@ -150,13 +133,11 @@ def classify(sys: ProjectiveSystem, M,
     Rank-1 matrices factor as u zeta (column times row); the twisted
     pairing zeta . sigma(u) decides singular versus quasi-singular, and
     the theta value and flag count are asserted against the closed-form
-    cardinalities.  The spread-type label requires the full involutory
-    structure: sigma of order 2, odd n, sigma(M) M a nonzero scalar, and
-    the point map [x] -> [M sigma(x)] fixed-point free; theta(M) = 0 on
-    its own is not enough.  Over a finite field no matrix meets all of
-    these (see the module docstring), so the label is never returned.
-    check_hyperplane additionally walks every line of the geometry and
-    asserts the one-or-all property (default: on for small geometries).
+    cardinalities.  Every other class is plain, theta = 0 included: no
+    spread-type class exists over a finite field (see the module
+    docstring).  check_hyperplane additionally walks every line of the
+    geometry and asserts the one-or-all property (default: on for small
+    geometries).
     """
     ctx, spec = sys.ctx, sys.spec
     M = as_matrix(ctx, M, square=sys.m)
@@ -188,13 +169,6 @@ def classify(sys: ProjectiveSystem, M,
         def_pt = class_index(q, sys.m, normalize_tuple(ctx, u))
         def_fn = class_index(q, sys.m, normalize_tuple(
             ctx, [int(spec.inv_tlist[int(e)]) for e in zeta]))
-    elif (spec.j and spec.order == 2 and sys.n % 2 == 1 and r == sys.m
-          and norm_proportional(ctx, spec, M)
-          and phi_fixed_points(sys, M) == 0):
-        kind = "spread_type"
-        assert rep.theta == 0, \
-            "fixed-point-free involutory class must have theta 0"
-        assert card == spread_type_cardinality(q, n)
 
     is_hp = None
     if check_hyperplane is None:
@@ -214,60 +188,20 @@ def classify(sys: ProjectiveSystem, M,
 # spread search
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class SpreadWitness:
-    matrix: np.ndarray
-    theta: int
-    cardinality: int
-    attempts: int
-    seed: int
-    fixed_point_free: bool     # point map verified to move every class
-    spread_size: int           # lines in the induced partition
-
-
-def _spread_partition(sys: ProjectiveSystem, M) -> list[frozenset[int]]:
-    """Lines <[x], [M sigma(x)]> of a fixed-point-free involution.
-
-    Verifies that the lines are pairwise equal or disjoint and cover
-    every point, i.e. that they form a spread of PG(n, q), and returns
-    them as frozensets of point class indices.
-    """
-    ctx, spec = sys.ctx, sys.spec
-    q, m = ctx.q, sys.m
-    pts = sys.gamma.funcs_arr
-    lines: dict[frozenset[int], None] = {}
-    covered: set[int] = set()
-    for i in range(len(pts)):
-        if i in covered:
-            continue
-        x = pts[i]
-        y = vecmat(ctx, spec.table[x].astype(ctx.dtype), M.T)
-        members = frozenset(class_index(q, m, rep)
-                            for rep in span_classes(ctx, [x, y]))
-        assert len(members) == q + 1, "image point equals its source"
-        assert not (members & covered), "lines overlap"
-        covered |= members
-        lines[members] = None
-    assert len(covered) == len(pts)
-    assert len(lines) * (q + 1) == len(pts)
-    return list(lines)
-
-
 def find_spread(sys: ProjectiveSystem, attempts: int = 100_000,
-                seed: int = 0) -> SpreadWitness:
+                seed: int = 0) -> NoReturn:
     """Search for a spread-type hyperplane among the norm-one candidates.
 
     Requires an involutory sigma != 1 and odd n.  Candidates are
     M = B^(-1) B^sigma for random invertible B; these satisfy
     sigma(M) M = I (asserted), so the point map [x] -> [M sigma(x)] is
-    an involution.  Success would mean that map is fixed-point free,
-    cross-checked against theta(M) = 0 and the closed-form cardinality,
-    with the line partition size in the witness.  Over a finite field
-    that never happens: each candidate is conjugate to entrywise sigma
-    and fixes the (s^(n+1)-1)/(s-1) points of PG(n, s) (Hilbert 90), so
-    the search always raises SearchBudgetExhausted with the seed and the
-    histogram {(s^(n+1)-1)/(s-1): attempts}.  The success path is kept
-    until the dead code is removed.
+    an involution.  Each candidate's fixed-point count is cross-checked
+    against theta(M) and tallied.  A witness would need a count of 0, and
+    over a finite field there is none: each candidate is conjugate to
+    entrywise sigma and fixes the (s^(n+1)-1)/(s-1) points of PG(n, s)
+    (Hilbert 90).  So the search always raises SearchBudgetExhausted with
+    the seed and the histogram, {(s^(n+1)-1)/(s-1): attempts}; a broken
+    count would show there as another key.
     """
     ctx, spec = sys.ctx, sys.spec
     if spec.j == 0 or spec.order != 2:
@@ -276,7 +210,7 @@ def find_spread(sys: ProjectiveSystem, attempts: int = 100_000,
         raise ValueError("spread-type hyperplanes require odd n")
     rng = SplitMix64(seed)
     hist: dict[int, int] = {}
-    for a in range(attempts):
+    for _ in range(attempts):
         B = code_ops.random_invertible(ctx, sys.m, rng)
         M = matmul(ctx, invert(ctx, B), sigma_entrywise(ctx, spec, B))
         MsM = matmul(ctx, sigma_entrywise(ctx, spec, M), M)
@@ -287,16 +221,6 @@ def find_spread(sys: ProjectiveSystem, attempts: int = 100_000,
         assert fp == th, \
             "point and functional fixed counts disagree on a norm-one class"
         hist[fp] = hist.get(fp, 0) + 1
-        if fp == 0:
-            rep = classify(sys, M)
-            assert rep.kind == "spread_type"
-            lines = _spread_partition(sys, M)
-            expect = (ctx.q ** (sys.n + 1) - 1) // (ctx.q ** 2 - 1)
-            assert len(lines) == expect
-            return SpreadWitness(matrix=M, theta=0,
-                                 cardinality=rep.cardinality, attempts=a + 1,
-                                 seed=seed, fixed_point_free=True,
-                                 spread_size=len(lines))
     raise SearchBudgetExhausted(
         f"no spread-type hyperplane after {attempts} candidates "
         f"(seed {seed}); fixed-point counts seen: {dict(sorted(hist.items()))}",
@@ -457,8 +381,8 @@ def find_fpf_collineation(sys: ProjectiveSystem,
             assert np.array_equal(lhs, rhs), "field model is not semilinear"
         rep = code_ops.theta(sys, M)
         if rep.theta == 0:
-            # the map is fixed-point free but usually not involutory, so
-            # the class may come back plain; the flag count still matches
+            # the map is fixed-point free, so the class is plain with the
+            # flag count of the spread-type cardinality
             hp = classify(sys, M)
             assert hp.theta == 0
             assert hp.cardinality == spread_type_cardinality(q, n)

@@ -3,9 +3,9 @@
 Matrices and vectors are numpy arrays of integer encodings (ctx.dtype).
 Orientation is a signature convention rather than a wrapper type: vectors
 of the underlying space V are columns and appear as parameters named `x`,
-functionals (elements of the dual) are rows and appear as `xi`.  `matvec`
-applies a matrix to a column, `vecmat` applies a functional on the right,
-and `pure_tensor(ctx, x, xi)` is the rank-<=1 matrix x * xi.
+functionals (elements of the dual) are rows and appear as `xi`.  `vecmat`
+applies a functional on the right, and `pure_tensor(ctx, x, xi)` is the
+rank-<=1 matrix x * xi.
 
 Elimination is deterministic: reduced row echelon form with the topmost
 row supplying each pivot, pivots normalized to 1, full reduction above and
@@ -30,23 +30,6 @@ def as_matrix(ctx: FieldCtx, data, square: int | None = None) -> np.ndarray:
     if square is not None and A.shape != (square, square):
         raise ValueError(f"expected a {square} x {square} matrix, got {A.shape}")
     return A.astype(ctx.dtype)
-
-
-def as_vector(ctx: FieldCtx, data) -> np.ndarray:
-    v = np.asarray(data, dtype=np.int64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if v.size and (v.min() < 0 or v.max() >= ctx.q):
-        raise ValueError(f"vector entries must be encodings in [0, {ctx.q})")
-    return v.astype(ctx.dtype)
-
-
-def identity(ctx: FieldCtx, m: int) -> np.ndarray:
-    return np.eye(m, dtype=ctx.dtype)
-
-
-def zeros(ctx: FieldCtx, shape) -> np.ndarray:
-    return np.zeros(shape, dtype=ctx.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -85,11 +68,6 @@ def matmul(ctx: FieldCtx, A, B) -> np.ndarray:
     return np.array(out, dtype=ctx.dtype)
 
 
-def matvec(ctx: FieldCtx, A, x) -> np.ndarray:
-    """A applied to a column vector x."""
-    return matmul(ctx, A, np.asarray(x).reshape(-1, 1))[:, 0]
-
-
 def vecmat(ctx: FieldCtx, xi, A) -> np.ndarray:
     """Functional xi (row) times A; the result is again a row."""
     return matmul(ctx, np.asarray(xi).reshape(1, -1), A)[0, :]
@@ -106,14 +84,6 @@ def pure_tensor(ctx: FieldCtx, x, xi) -> np.ndarray:
     mul = ctx.mul
     return np.array([[mul(int(a), int(b)) for b in xi.tolist()] for a in x.tolist()],
                     dtype=ctx.dtype)
-
-
-def trace(ctx: FieldCtx, A) -> int:
-    A = np.asarray(A)
-    acc = 0
-    for i in range(A.shape[0]):
-        acc = ctx.add(acc, int(A[i, i]))
-    return acc
 
 
 def trace_product(ctx: FieldCtx, X, M) -> int:
@@ -157,10 +127,6 @@ def sigma_entrywise(ctx: FieldCtx, spec: AutSpec, A) -> np.ndarray:
     return spec.table[np.asarray(A)].astype(ctx.dtype)
 
 
-def sigma_entrywise_inverse(ctx: FieldCtx, spec: AutSpec, A) -> np.ndarray:
-    return spec.inv_table[np.asarray(A)].astype(ctx.dtype)
-
-
 # ---------------------------------------------------------------------------
 # elimination
 # ---------------------------------------------------------------------------
@@ -202,6 +168,45 @@ def _rref(ctx: FieldCtx, rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
+def _rank_upto(ctx: FieldCtx, rows, ncols: int, stop: int) -> int:
+    """Incremental rank of an iterable of int rows, min(rank, stop).
+
+    Each row is copied, reduced against the pivots found so far and, if
+    anything is left, scaled to a leading 1 and kept as the pivot of that
+    column.  A pivot row is zero left of its pivot, so scaling and
+    elimination start at the pivot column.  Returns as soon as `stop`
+    pivots are found.
+    """
+    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
+    pivots: dict[int, list[int]] = {}
+    npiv = 0
+    for raw in rows:
+        row = list(raw)
+        c = 0
+        while c < ncols:
+            v = row[c]
+            if v:
+                piv = pivots.get(c)
+                if piv is None:
+                    if v != 1:
+                        f = inv(v)
+                        for cc in range(c, ncols):
+                            if row[cc]:
+                                row[cc] = mul(f, row[cc])
+                    pivots[c] = row
+                    npiv += 1
+                    if npiv >= stop:
+                        return stop
+                    break
+                nc = neg(v)
+                for cc in range(c, ncols):
+                    pv = piv[cc]
+                    if pv:
+                        row[cc] = add(row[cc], mul(nc, pv))
+            c += 1
+    return npiv
+
+
 def row_echelon(ctx: FieldCtx, A) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns (deterministic)."""
     A = np.asarray(A)
@@ -214,8 +219,7 @@ def rank(ctx: FieldCtx, A) -> int:
     A = np.asarray(A)
     if A.size == 0:
         return 0
-    rows = [list(map(int, r)) for r in A.tolist()]
-    return len(_rref(ctx, rows, A.shape[1]))
+    return _rank_upto(ctx, A.tolist(), A.shape[1], min(A.shape))
 
 
 def invert(ctx: FieldCtx, A) -> np.ndarray:

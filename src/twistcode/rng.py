@@ -40,7 +40,3 @@ class SplitMix64:
     def elements(self, q: int, count: int) -> list[int]:
         """Draw `count` field elements (integers in [0, q))."""
         return [self.below(q) for _ in range(count)]
-
-    def nonzero_elements(self, q: int, count: int) -> list[int]:
-        """Draw `count` nonzero field elements."""
-        return [1 + self.below(q - 1) for _ in range(count)]

@@ -165,6 +165,32 @@ def test_spread_budget_exhaustion_exit_code():
     assert err["histogram"] == {"3": 60}
 
 
+def test_spread_beyond_the_table_fields_exhausts_cleanly():
+    # q = 4096 has no q x q tables; s + 1 = 65 points of PG(1, 64) are fixed
+    code, out = run("spread", "--q", "4096", "--j", "6", "--n", "1",
+                    "--attempts", "1")
+    assert code == 1
+    assert out["error"]["type"] == "SearchBudgetExhausted"
+    assert out["error"]["histogram"] == {"65": 1}
+
+
+def test_unusable_counts_are_usage_errors():
+    for argv in (("spectrum", "--q", "4", "--j", "1", "--n", "2",
+                  "--threads", "-3"),
+                 ("autcheck", "--q", "4", "--j", "1", "--n", "1",
+                  "--trials", "-1"),
+                 ("autcheck", "--q", "4", "--j", "1", "--n", "1",
+                  "--nonkernel", "-5"),
+                 ("spread", "--q", "4", "--j", "1", "--n", "1",
+                  "--attempts", "0"),
+                 ("spread", "--q", "4", "--j", "1", "--n", "1",
+                  "--attempts", "-4")):
+        code, out = run(*argv)
+        assert code == 2, argv
+        assert out["error"]["type"] == "ValueError"
+        assert argv[-2] in out["error"]["message"]
+
+
 def test_spread_precondition_failures():
     code, out = run("spread", "--q", "4", "--j", "1", "--n", "2",
                     "--attempts", "5")

@@ -12,6 +12,7 @@ from twistcode.linalg import pure_tensor
 from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
+import naive_ref
 from helpers import system
 
 
@@ -108,6 +109,22 @@ def test_point_functional_duality_under_involution():
         M = random_nonzero_matrix(ps.ctx, 3, rng)
         rep = theta(ps, M, check_identity=False)
         assert phi_fixed_points(ps, M.T) == rep.proportional_classes
+
+
+@pytest.mark.parametrize("cfg", [(2, 3, 1, 2), (2, 4, 1, 2)])
+def test_point_fixed_count_matches_reference_beyond_involutions(cfg):
+    # sigma of order 3 and 4: y = sigma(x) turns M sigma(x) = lambda x into
+    # y M^T = lambda sigma^(-1)(y), so the point count of M is the
+    # brute-force functional count of M^T under sigma^(-1); invertible M
+    # has no kernel on either side
+    ps = system(*cfg)
+    ctx, t, j = ps.ctx, ps.ctx.t, ps.spec.j
+    nf = naive_ref.make_naive(ctx.q)
+    rng = SplitMix64(31)
+    for _ in range(6):
+        M = random_invertible(ctx, ps.m, rng)
+        assert phi_fixed_points(ps, M) == \
+            naive_ref.naive_theta(nf, (t - j) % t, M.T.tolist())
 
 
 def test_norm_proportional_examples():
