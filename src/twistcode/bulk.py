@@ -1,10 +1,12 @@
 """Vectorized exhaustive sweeps over projective matrix classes.
 
-Everything here gathers from the q x q field tables, so sweeps require
-q <= 1024.  A sweep walks the global class order in chunks; with more than
-one worker the chunks go to a fork pool and are folded in submission
-order, which keeps every aggregate (sums, histograms, first-witness tie
-breaks) byte-identical regardless of the worker count.
+Only the sweep kernels (theta_batch, zero_counts_batch, rank3_batch and
+pairing_batch) gather from the q x q field tables, so sweeps require
+q <= 1024; conj_images goes through linalg.matmul and works at any q.
+A sweep walks the global class order in chunks; with more than one
+worker the chunks go to a fork pool and are folded in submission order,
+which keeps every aggregate (sums, histograms, first-witness tie breaks)
+byte-identical regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .embedding import build_system
 from .gf import make_autspec, make_field
-from .linalg import _rank_upto
+from .linalg import _rank_upto, matmul
 from .projgeom import class_reps_range, enumerate_lines
 from .rng import SplitMix64
 
@@ -288,8 +290,6 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
                 per[r] = (mx, idx)
         out["max_by_rank"] = per
 
-    if opts.get("collect_theta"):
-        out["theta"] = theta
     return out
 
 
@@ -334,31 +334,5 @@ def sampled_theta(cfg: tuple, count: int, seed: int,
 
 
 def conj_images(ctx, L: np.ndarray, X: np.ndarray, Rm: np.ndarray) -> np.ndarray:
-    """Batched L @ X_i @ Rm over GF, X of shape (N, m, m)."""
-    MUL = ctx.mul_table
-    N, m, _ = X.shape
-
-    def vadd(a, bb):
-        return np.bitwise_xor(a, bb) if ctx.p == 2 else ctx.add_table[a, bb]
-
-    A = np.zeros_like(X)
-    for r in range(m):
-        acc = None
-        for kk in range(m):
-            l = int(L[r, kk])
-            if l:
-                term = MUL[l][X[:, kk, :]]
-                acc = term if acc is None else vadd(acc, term)
-        if acc is not None:
-            A[:, r, :] = acc
-    B = np.zeros_like(X)
-    for c in range(m):
-        acc = None
-        for kk in range(m):
-            rv = int(Rm[kk, c])
-            if rv:
-                term = MUL[rv][A[:, :, kk]]
-                acc = term if acc is None else vadd(acc, term)
-        if acc is not None:
-            B[:, :, c] = acc
-    return B
+    """Batched L @ X_i @ Rm over GF, X of shape (N, m, m); any q."""
+    return matmul(ctx, matmul(ctx, L, X), Rm)

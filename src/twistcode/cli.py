@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=int, default=1)
 
     s = sub("spread", "search for a spread-type hyperplane")
-    s.add_argument("--attempts", type=int, default=100_000)
+    s.add_argument("--attempts", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
 
     sub("fpf", "build a fixed-point-free twist via the field model")

@@ -27,8 +27,8 @@ import numpy as np
 from . import bulk
 from .embedding import ProjectiveSystem
 from .gf import AutSpec, FieldCtx, norm
-from .linalg import (as_matrix, dot, invert, is_scalar_matrix, left_kernel,
-                     matmul, normalize_rep, rank, scalar_mul, sigma_entrywise)
+from .linalg import (as_matrix, invert, is_scalar_matrix, left_kernel, matmul,
+                     normalize_rep, rank, scalar_mul, sigma_entrywise)
 from .projgeom import class_reps_range, enumerate_lines, num_classes
 from .rng import SplitMix64
 
@@ -114,23 +114,12 @@ class AutomorphismReport:
 # basic evaluations
 # ---------------------------------------------------------------------------
 
-def _scalar_mul_col(ctx: FieldCtx, c: int, col: np.ndarray) -> np.ndarray:
-    if ctx.mul_table is not None:
-        return ctx.mul_table[c][col]
-    return scalar_mul(ctx, c, col)
-
-
 def eval_codeword(sys: ProjectiveSystem, M) -> Codeword:
     """Trace pairing of M against every embedded flag, in flag order."""
     ctx = sys.ctx
     M = as_matrix(ctx, M, square=sys.m)
-    w = M.T.reshape(-1)           # w[r*m+c] = M[c,r]
-    acc = np.zeros(sys.N, dtype=ctx.dtype)
-    for a in range(sys.k):
-        wa = int(w[a])
-        if wa:
-            acc = ctx.add_np(acc, _scalar_mul_col(ctx, wa, sys.flat[:, a]))
-    return Codeword(values=acc.astype(ctx.dtype), matrix=M)
+    w = M.T.reshape(-1, 1)        # w[r*m+c] = M[c,r]
+    return Codeword(values=matmul(ctx, sys.flat, w)[:, 0], matrix=M)
 
 
 def _fixed_scan(sys: ProjectiveSystem, M,
@@ -144,18 +133,9 @@ def _fixed_scan(sys: ProjectiveSystem, M,
     """
     ctx = sys.ctx
     funcs = sys.gamma.funcs_arr
-    F, m = funcs.shape
-    cols = []
-    for c in range(m):
-        acc = np.zeros(F, dtype=ctx.dtype)
-        for i in range(m):
-            e = int(M[i, c])
-            if e:
-                acc = ctx.add_np(acc, _scalar_mul_col(ctx, e, funcs[:, i]))
-        cols.append(acc)
-    V = np.stack(cols, axis=1)
+    V = matmul(ctx, funcs, M)
     lead = (funcs != 0).argmax(axis=1)
-    lam = V[np.arange(F), lead]
+    lam = V[np.arange(len(funcs)), lead]
     ok = (V == ctx.mul_np(lam[:, None], tau[funcs])).all(axis=1)
     return ok, lam
 
@@ -463,16 +443,14 @@ def min_weight_sweep(sys: ProjectiveSystem, threads: int = 1) -> dict:
     }
 
 
-def second_weight_check(sys: ProjectiveSystem, threads: int = 1,
-                        rank1_only: bool = False) -> SecondWeightReport:
+def second_weight_check(sys: ProjectiveSystem,
+                        threads: int = 1) -> SecondWeightReport:
     """Characterize the two lightest weights via rank-1 classes.
 
-    Full mode sweeps every matrix class and checks the set equalities
+    Sweeps every matrix class and checks the set equalities
     {theta = m(1)} == {rank 1, pairing != 0} and {theta = m(1)-1} ==
-    {rank 1, pairing == 0}.  rank1_only enumerates just the rank-1
-    classes and certifies the rest through the m(r) bounds (valid when
-    max over r >= 2 of m(r) < m(1) - 1, asserted); that is a complete
-    proof too, just resting on the bound theorem instead of enumeration.
+    {rank 1, pairing == 0}.  Requires max over r >= 2 of m(r) < m(1) - 1,
+    so that the two lightest weights come from rank 1 alone.
     """
     ctx, spec = sys.ctx, sys.spec
     if spec.j == 0:
@@ -488,39 +466,9 @@ def second_weight_check(sys: ProjectiveSystem, threads: int = 1,
             f"max theta over rank >= 2 is {worst}, m(1) is {m1}")
     w_min = qn1 * (pts - m1)
     w_second = qn1 * (pts - (m1 - 1))
-    P = num_classes(q, sys.m)
-
-    if rank1_only:
-        b = bulk._bundle(sys.cfg)
-        reps = []
-        pair_nz = []
-        pts_reps = class_reps_range(q, sys.m, 0, P, dtype=ctx.dtype)
-        for u in pts_reps:
-            su = spec.table[u].astype(ctx.dtype)
-            for fn in sys.gamma.functionals:
-                zeta = np.array(fn.rep, dtype=ctx.dtype)
-                Mflat = ctx.mul_np(np.asarray(u)[:, None],
-                                   zeta[None, :]).reshape(-1)
-                reps.append(Mflat)
-                pair_nz.append(dot(ctx, zeta, su) != 0)
-        R = np.array(reps, dtype=ctx.dtype)
-        th, _ = bulk.theta_batch(b, R)
-        pnz = np.array(pair_nz)
-        v1 = int(((th == m1) != pnz).sum())
-        v2 = int(((th == m1 - 1) != ~pnz).sum())
-        return SecondWeightReport(
-            min_weight=w_min, second_weight=w_second,
-            min_weight_classes=int((th == m1).sum()),
-            second_weight_classes=int((th == m1 - 1).sum()),
-            rank1_classes=len(reps),
-            singular_classes=int((~pnz).sum()),
-            quasi_singular_classes=int(pnz.sum()),
-            correspondence_ok=(v1 == 0 and v2 == 0),
-            mode="rank1+bounds", classes_checked=len(reps))
 
     if sys.m != 3:
-        raise ValueError("full sweep is vectorized for n = 2 only; "
-                         "use rank1_only elsewhere")
+        raise ValueError("full sweep is vectorized for n = 2 only")
     total = num_classes(q, sys.k)
     if total > bulk.EXHAUSTIVE_CAP:
         raise ValueError("class count exceeds the exhaustive cap")

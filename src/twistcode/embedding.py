@@ -116,7 +116,7 @@ def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     lead_vals = flat[np.arange(N), (flat != 0).argmax(axis=1)]
     assert np.all(lead_vals == 1), "system representatives not normalized"
 
-    srank = _rank_upto(ctx, flat.tolist(), m * m, m * m)
+    srank = _rank_upto(ctx, map(np.ndarray.tolist, flat), m * m, m * m)
     expected = m * m if spec.j != 0 else m * m - 1
     if srank != expected:
         raise AssertionError(f"system span rank {srank}, expected {expected}")

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldCtx
+from .linalg import matmul
 from .projgeom import POINT_CAP, ProjClass, enumerate_lines, enumerate_pg
 
 FLAG_CAP = POINT_CAP
@@ -65,13 +66,8 @@ class Gamma:
         # incidence, vectorized over points one functional at a time
         flags: list[Flag] = []
         by_functional: list[np.ndarray] = []
-        pt_by_func = []
-        P = self.points_arr.astype(np.int64)
-        for fn in self.functionals:
-            acc = np.zeros(len(self.points), dtype=np.int64)
-            for i, c in enumerate(fn.rep):
-                if c:
-                    acc = ctx.add_np(acc, ctx.mul_np(np.full_like(acc, c), P[:, i]))
+        for fn, xi in zip(self.functionals, self.funcs_arr):
+            acc = matmul(ctx, self.points_arr, xi[:, None])[:, 0]
             hit = np.flatnonzero(acc == 0)
             by_functional.append(hit.astype(np.int32))
             for pi in hit:

@@ -10,9 +10,13 @@ All arithmetic is table based.  A FieldCtx carries
 
 * exp/log lists for the cyclic group (the construction of the exp table
   doubles as the primitivity proof for the generator),
-* full q x q add/sub/mul numpy tables for q <= 1024 (vectorized kernels
+* full q x q add/sub/mul numpy tables for q <= 1024 (the sweep kernels
   gather from these), and
 * per-element neg/inv tables.
+
+The array operations add_np, mul_np and sum_np (the field sum along one
+axis) work at every q: above q = 1024 they add by XOR (p = 2) or digit
+sums and multiply through the exp/log tables.
 
 Field axioms are verified exhaustively at construction for q <= 512 and on
 a fixed deterministic sample of triples above that.
@@ -423,7 +427,9 @@ class FieldCtx:
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.add_table is not None:
-            return self.add_table[a, b]
+            # a flat take beats add_table[a, b] by 1.5-3x from ~10^3 entries
+            return self.add_table.ravel().take(
+                np.multiply(a, self.q, dtype=np.intp) + b)
         p = self.p
         out = np.zeros_like(a)
         for i in range(self.t):
@@ -431,9 +437,23 @@ class FieldCtx:
             out += (((a // pi) % p + (b // pi) % p) % p) * pi
         return out
 
+    def sum_np(self, a, axis: int):
+        """Field sum of the array `a` along one axis.
+
+        The axis is first moved to the front and made contiguous: numpy
+        reduces along a short inner axis several times slower.
+        """
+        terms = np.ascontiguousarray(np.rollaxis(np.asarray(a), axis))
+        if self.p == 2:
+            return np.bitwise_xor.reduce(terms, axis=0)
+        if len(terms) == 0:
+            return np.zeros(terms.shape[1:], dtype=self.dtype)
+        return functools.reduce(self.add_np, terms[1:], terms[0])
+
     def mul_np(self, a, b):
-        if self.mul_table is not None:
-            return self.mul_table[a, b]
+        if self.mul_table is not None:       # flat take, as in add_np
+            return self.mul_table.ravel().take(
+                np.multiply(a, self.q, dtype=np.intp) + b)
         la = self.log[a].astype(np.int64)
         lb = self.log[b].astype(np.int64)
         out = self.exp[(la + lb) % (self.q - 1)].astype(self.dtype)

@@ -188,7 +188,7 @@ def classify(sys: ProjectiveSystem, M,
 # spread search
 # ---------------------------------------------------------------------------
 
-def find_spread(sys: ProjectiveSystem, attempts: int = 100_000,
+def find_spread(sys: ProjectiveSystem, attempts: int = 1000,
                 seed: int = 0) -> NoReturn:
     """Search for a spread-type hyperplane among the norm-one candidates.
 
@@ -315,7 +315,7 @@ class _FieldModel:
 
     def coords(self, v: int) -> np.ndarray:
         dv = np.array(self.K.digits(v), dtype=self.pf.dtype)
-        c = (self.Tinv.astype(np.int64) @ dv.astype(np.int64)) % self.ctx.p
+        c = matmul(self.pf, self.Tinv, dv[:, None])[:, 0]
         out = np.zeros(self.m, dtype=self.ctx.dtype)
         for i in range(self.m):
             val = 0

@@ -7,10 +7,12 @@ functionals (elements of the dual) are rows and appear as `xi`.  `vecmat`
 applies a functional on the right, and `pure_tensor(ctx, x, xi)` is the
 rank-<=1 matrix x * xi.
 
-Elimination is deterministic: reduced row echelon form with the topmost
-row supplying each pivot, pivots normalized to 1, full reduction above and
-below.  Everything downstream that promises byte-identical output relies
-on this.
+Every product goes through `matmul`, one broadcast gather through the
+FieldCtx array operations (mul_np, then sum_np over the shared axis), so
+it works at every q.  Elimination stays scalar, on lists of ints.  It is
+deterministic: reduced row echelon form with the topmost row supplying
+each pivot, pivots normalized to 1, full reduction above and below.
+Everything downstream that promises byte-identical output relies on this.
 """
 
 from __future__ import annotations
@@ -38,34 +40,26 @@ def as_matrix(ctx: FieldCtx, data, square: int | None = None) -> np.ndarray:
 
 def dot(ctx: FieldCtx, u, v) -> int:
     """Sum of entrywise products; used e.g. for the pairing xi . x."""
-    add, mul = ctx.add, ctx.mul
-    acc = 0
-    for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist(), strict=True):
-        if a and b:
-            acc = add(acc, mul(a, b))
-    return acc
+    u = np.asarray(u)
+    v = np.asarray(v)
+    if u.ndim != 1 or u.shape != v.shape:
+        raise ValueError(f"dot needs two vectors of one length, "
+                         f"got {u.shape} and {v.shape}")
+    return int(matmul(ctx, u[None, :], v[:, None])[0, 0])
 
 
 def matmul(ctx: FieldCtx, A, B) -> np.ndarray:
+    """A @ B over GF(q), broadcasting over leading axes like numpy.matmul.
+
+    All products are gathered at once into a (..., n, k, m) array and
+    then summed over the shared axis k.
+    """
     A = np.asarray(A)
     B = np.asarray(B)
-    n, k = A.shape
-    k2, m = B.shape
-    if k != k2:
+    if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
-    add, mul = ctx.add, ctx.mul
-    Al, Bl = A.tolist(), B.tolist()
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai, Oi = Al[i], out[i]
-        for kk in range(k):
-            a = Ai[kk]
-            if a:
-                Bk = Bl[kk]
-                for j in range(m):
-                    if Bk[j]:
-                        Oi[j] = add(Oi[j], mul(a, Bk[j]))
-    return np.array(out, dtype=ctx.dtype)
+    prods = ctx.mul_np(A[..., :, :, None], B[..., None, :, :])
+    return ctx.sum_np(prods, axis=-2).astype(ctx.dtype, copy=False)
 
 
 def vecmat(ctx: FieldCtx, xi, A) -> np.ndarray:
@@ -79,11 +73,7 @@ def pure_tensor(ctx: FieldCtx, x, xi) -> np.ndarray:
     xi = np.asarray(xi)
     if x.ndim != 1 or xi.ndim != 1:
         raise ValueError("pure_tensor takes a column x and a functional xi")
-    if ctx.mul_table is not None:
-        return ctx.mul_table[x[:, None], xi[None, :]].astype(ctx.dtype)
-    mul = ctx.mul
-    return np.array([[mul(int(a), int(b)) for b in xi.tolist()] for a in x.tolist()],
-                    dtype=ctx.dtype)
+    return matmul(ctx, x[:, None], xi[None, :])
 
 
 def trace_product(ctx: FieldCtx, X, M) -> int:
@@ -92,30 +82,12 @@ def trace_product(ctx: FieldCtx, X, M) -> int:
     M = np.asarray(M)
     if X.shape[1] != M.shape[0] or X.shape[0] != M.shape[1]:
         raise ValueError(f"shape mismatch {X.shape} x {M.shape}")
-    add, mul = ctx.add, ctx.mul
-    Xl, Ml = X.tolist(), M.tolist()
-    acc = 0
-    for i in range(X.shape[0]):
-        Xi = Xl[i]
-        for k in range(X.shape[1]):
-            a = Xi[k]
-            if a:
-                b = Ml[k][i]
-                if b:
-                    acc = add(acc, mul(a, b))
-    return acc
+    return dot(ctx, X.reshape(-1), M.T.reshape(-1))
 
 
 def scalar_mul(ctx: FieldCtx, c: int, A) -> np.ndarray:
     """c * A for a scalar c and an array A of any shape."""
-    A = np.asarray(A)
-    if c == 0:
-        return np.zeros_like(A)
-    if ctx.mul_table is not None:
-        return ctx.mul_table[c][A].astype(ctx.dtype)
-    mul = ctx.mul
-    flat = [mul(c, int(v)) for v in A.reshape(-1).tolist()]
-    return np.array(flat, dtype=ctx.dtype).reshape(A.shape)
+    return ctx.mul_np(np.asarray(A), c).astype(ctx.dtype, copy=False)
 
 
 def mat_add(ctx: FieldCtx, A, B) -> np.ndarray:

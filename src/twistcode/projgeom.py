@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import AutSpec, FieldCtx
-from .linalg import _rref, dot
+from .linalg import _rref, dot, matmul
 
 POINT_CAP = 10 ** 7
 
@@ -167,19 +167,10 @@ def span_classes(ctx: FieldCtx, gens) -> list[tuple[int, ...]]:
     total = num_classes(ctx.q, d)
     if total > 10 ** 6:
         raise ValueError(f"span of {total} classes is too large to enumerate")
-    add, mul = ctx.add, ctx.mul
-    k = G.shape[1]
-    out = []
-    for coef in class_reps_range(ctx.q, d, 0, total).tolist():
-        v = [0] * k
-        for c, row in zip(coef, basis):
-            if c:
-                for i, e in enumerate(row):
-                    if e:
-                        v[i] = add(v[i], mul(c, e))
-        out.append(tuple(v))
+    coefs = class_reps_range(ctx.q, d, 0, total, dtype=ctx.dtype)
+    span = matmul(ctx, coefs, np.array(basis, dtype=ctx.dtype))
     # RREF basis + normalized coefficients already yield normalized vectors
-    return sorted(out)
+    return sorted(map(tuple, span.tolist()))
 
 
 @functools.lru_cache(maxsize=None)

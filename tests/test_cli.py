@@ -174,6 +174,13 @@ def test_spread_beyond_the_table_fields_exhausts_cleanly():
     assert out["error"]["histogram"] == {"65": 1}
 
 
+def test_spread_default_attempts():
+    code, out = run("spread", "--q", "4", "--j", "1", "--n", "1")
+    assert code == 1
+    assert out["error"]["attempts"] == 1000
+    assert out["error"]["histogram"] == {"3": 1000}
+
+
 def test_unusable_counts_are_usage_errors():
     for argv in (("spectrum", "--q", "4", "--j", "1", "--n", "2",
                   "--threads", "-3"),
@@ -219,6 +226,16 @@ def test_autcheck_smoke():
     assert out["ok"] is True
     assert out["trials"] == 25
     assert out["weight_failures"] == 0
+
+
+def test_autcheck_beyond_the_table_fields():
+    # no q x q tables above q = 1024: log-table products, XOR sums (p = 2)
+    # and digit sums (p = 3)
+    for q, count in (("2048", "1"), ("2187", "2")):
+        code, out = run("autcheck", "--q", q, "--j", "1", "--n", "1",
+                        "--trials", count, "--nonkernel", count)
+        assert code == 0, q
+        assert out["ok"] is True, q
 
 
 def test_lines_summary_and_csv():

@@ -61,6 +61,40 @@ def test_invert_round_trip():
             done += 1
 
 
+def _naive_matmul(nf, A, B):
+    return [[naive_ref.naive_dot(nf, row, col) for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize("p,t", [(2, 2), (3, 2), (2, 11), (3, 7)])
+def test_matmul_broadcasts_and_matches_naive(p, t):
+    # (2, 11) and (3, 7) have no q x q tables: log-table products, and XOR
+    # or digit-sum additions
+    ctx = make_field(p, t)
+    nf = naive_ref.NaiveGF(p, t, ctx.modulus)
+    rng = SplitMix64(p * 100 + t)
+    stack = np.array(rng.elements(ctx.q, 5 * 9), dtype=ctx.dtype).reshape(5, 3, 3)
+    A = _random_matrix(ctx, 3, rng)
+    row = np.array(rng.elements(ctx.q, 3), dtype=ctx.dtype).reshape(1, 3)
+
+    got = matmul(ctx, stack, A)
+    assert got.shape == (5, 3, 3) and got.dtype == ctx.dtype
+    for X, G in zip(stack, got):
+        assert G.tolist() == _naive_matmul(nf, X.tolist(), A.tolist())
+
+    got = matmul(ctx, A, stack)
+    assert got.shape == (5, 3, 3) and got.dtype == ctx.dtype
+    for X, G in zip(stack, got):
+        assert G.tolist() == _naive_matmul(nf, A.tolist(), X.tolist())
+
+    got = matmul(ctx, row, A)
+    assert got.shape == (1, 3) and got.dtype == ctx.dtype
+    assert got.tolist() == _naive_matmul(nf, row.tolist(), A.tolist())
+    assert vecmat(ctx, row[0], A).tolist() == got[0].tolist()
+
+    with pytest.raises(ValueError):
+        matmul(ctx, row, stack[:, :2, :])
+
+
 def test_left_kernel_annihilates():
     ctx = make_field(3, 2)
     rng = SplitMix64(11)
