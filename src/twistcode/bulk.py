@@ -1,8 +1,11 @@
 """Vectorized exhaustive sweeps over projective matrix classes.
 
-Only the sweep kernels (theta_batch, zero_counts_batch, rank3_batch and
-pairing_batch) gather from the q x q field tables, so sweeps require
-q <= 1024; conj_images goes through linalg.matmul and works at any q.
+Theta comes from theta_descent, a closed form in the ranks of M and of
+N(M) - mu I (Galois descent), built from linalg.matmul and
+linalg.rank_batch; it reads no q x q table, so sampled theta works at
+any q, as does conj_images.  Only theta_batch (kept for the solution
+masks of min_weight_sweep), zero_counts_batch and pairing_batch gather
+from the q x q field tables, so exhaustive sweeps require q <= 1024.
 A sweep walks the global class order in chunks; with more than one
 worker the chunks go to a fork pool and are folded in submission order,
 which keeps every aggregate (sums, histograms, first-witness tie breaks)
@@ -12,18 +15,20 @@ byte-identical regardless of the worker count.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing as mp
 
 import numpy as np
 
 from .embedding import build_system
-from .gf import make_autspec, make_field
-from .linalg import _rank_upto, matmul
+from .gf import AutSpec, FieldCtx, make_autspec, make_field
+from .linalg import _rank_upto, matmul, rank_batch
 from .projgeom import class_reps_range, enumerate_lines
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
 DEFAULT_CHUNK = 1 << 18
+_SLICE = 1 << 14     # rows per theta_descent step; bounds its N(M) products
 
 
 class _Bundle:
@@ -47,7 +52,6 @@ class _Bundle:
         self.p2 = ctx.p == 2
         self.MUL = ctx.mul_table
         self.ADD = ctx.add_table
-        self.SUB = ctx.sub_table
         self.SIG = spec.table
 
         g = sys_.gamma
@@ -67,9 +71,6 @@ class _Bundle:
 
     def vadd(self, a, b):
         return np.bitwise_xor(a, b) if self.p2 else self.ADD[a, b]
-
-    def vsub(self, a, b):
-        return np.bitwise_xor(a, b) if self.p2 else self.SUB[a, b]
 
     def dual_line_masks(self) -> list[int]:
         """Bit masks (over functional indices) of the lines of PG(V*)."""
@@ -167,29 +168,51 @@ def zero_counts_batch(b: _Bundle, R: np.ndarray,
 
 
 def rank3_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
-    """Ranks of a batch of nonzero 3 x 3 matrices (values 1, 2, 3)."""
-    assert b.m == 3, "vectorized rank needs 3 x 3 matrices"
-    MUL = b.MUL
+    """Ranks of a batch of flattened m x m matrices (linalg.rank_batch)."""
+    return rank_batch(b.ctx, R.reshape(-1, b.m, b.m))
 
-    def mul(i, jj):
-        return MUL[R[:, i], R[:, jj]]
 
-    def minor(i, jj, kk, ll):
-        return b.vsub(mul(i, ll), mul(jj, kk))
+def theta_descent(ctx: FieldCtx, spec: AutSpec,
+                  R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-functional counts and ranks of flattened m x m matrices; any q.
 
-    # all 2x2 minors vanish <=> rank <= 1
-    rank1 = np.ones(R.shape[0], dtype=bool)
-    for r0, r1 in ((0, 1), (0, 2), (1, 2)):
-        for c0, c1 in ((0, 1), (0, 2), (1, 2)):
-            rank1 &= minor(3 * r0 + c0, 3 * r0 + c1,
-                           3 * r1 + c0, 3 * r1 + c1) == 0
-    c0 = minor(4, 5, 7, 8)
-    c1 = minor(3, 5, 6, 8)
-    c2 = minor(3, 4, 6, 7)
-    det = b.vsub(b.vadd(MUL[R[:, 0], c0], MUL[R[:, 2], c2]), MUL[R[:, 1], c1])
-    out = np.where(det != 0, 3, 2).astype(np.int8)
-    out[rank1] = 1
-    return out
+    Galois descent.  With e = spec.order, N(M) = M sigma(M) ...
+    sigma^(e-1)(M), d0 = m - rank M and d_mu = m - rank(N(M) - mu I):
+
+        theta(M) = (q^d0 - 1)/(q - 1)
+                   + sum over mu in F_s* of (s^d_mu - 1)/(s - 1).
+
+    The kernel classes give the first term.  The point map
+    T(xi) = sigma^-1(xi M) is sigma^-1-semilinear with T^e(xi) = xi N(M),
+    so the classes with lambda != 0 lie in the eigenspaces W_mu of N(M),
+    and on each W_mu Speiser's lemma (Hilbert 90) gives the fixed vectors
+    of the semilinear map as an F_s-form of dimension d_mu.  Both terms
+    are looked up per rank.  Reads no q x q table; the batch is walked in
+    slices of _SLICE rows so the N(M) products stay small.
+    """
+    q, s = ctx.q, spec.s
+    m = math.isqrt(R.shape[1])
+    mus = [a for a in range(1, q) if spec.tlist[a] == a]
+    kern = np.array([(q ** (m - r) - 1) // (q - 1) for r in range(m + 1)])
+    fixed = np.array([(s ** (m - r) - 1) // (s - 1) for r in range(m + 1)])
+    diag = np.arange(m)
+    theta = np.empty(R.shape[0], dtype=np.min_scalar_type(kern[0]))  # <= F
+    ranks = np.empty(R.shape[0], dtype=np.int8)
+    for a in range(0, R.shape[0], _SLICE):
+        M = R[a:a + _SLICE].reshape(-1, m, m)
+        N = S = M
+        for _ in range(spec.order - 1):
+            S = spec.table[S]
+            N = matmul(ctx, N, S)
+        rk = rank_batch(ctx, M)
+        th = kern[rk]
+        for mu in mus:
+            shifted = N.copy()
+            shifted[:, diag, diag] = ctx.add_np(N[:, diag, diag], ctx.neg(mu))
+            th += fixed[rank_batch(ctx, shifted)]
+        theta[a:a + _SLICE] = th
+        ranks[a:a + _SLICE] = rk
+    return theta, ranks
 
 
 def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
@@ -238,7 +261,10 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
         return out
 
     want_cond = opts.get("cond_theta") is not None
-    theta, sol = theta_batch(b, R, want_solmask=want_cond)
+    if want_cond:       # the solution masks need the per-functional scan
+        theta, sol = theta_batch(b, R, want_solmask=True)
+    else:
+        theta, ranks = theta_descent(b.ctx, b.spec, R)
     out["theta_hist"] = np.bincount(theta, minlength=b.F + 1)
 
     if opts.get("flag_check"):
@@ -260,9 +286,7 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
         out["first_cond_mismatch"] = (
             int(start + np.flatnonzero(mism)[0]) if mism.any() else None)
 
-    ranks = None
     if opts.get("rank_pairing"):
-        ranks = rank3_batch(b, R)
         rank1 = ranks == 1
         pair = pairing_batch(b, R)
         qsns = rank1 & (pair != 0)
@@ -279,10 +303,8 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
         out["first_w2"] = int(start + np.flatnonzero(v2)[0]) if v2.any() else None
 
     if opts.get("max_by_rank"):
-        if ranks is None:
-            ranks = rank3_batch(b, R)
         per = {}
-        for r in (1, 2, 3):
+        for r in range(1, b.m + 1):
             msk = ranks == r
             if msk.any():
                 mx = int(theta[msk].max())
@@ -316,20 +338,27 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
 
 def sampled_theta(cfg: tuple, count: int, seed: int,
                   batch: int = 1 << 14) -> np.ndarray:
-    """Fixed-functional counts of `count` seeded random nonzero matrices."""
-    b = _bundle(cfg)
+    """Fixed-functional counts of `count` seeded random nonzero matrices.
+
+    Goes through theta_descent, which reads no q x q table, so it works
+    at every q.
+    """
+    p, t, modulus, j, n = cfg
+    ctx = make_field(p, t, modulus)
+    spec = make_autspec(ctx, j)
+    q, k = ctx.q, (n + 1) ** 2
     rng = SplitMix64(seed)
-    draws = np.empty((count, b.k), dtype=b.ctx.dtype)
+    draws = np.empty((count, k), dtype=ctx.dtype)
     for r in range(count):
         while True:
-            row = [rng.below(b.q) for _ in range(b.k)]
+            row = [rng.below(q) for _ in range(k)]
             if any(row):
                 break
         draws[r] = row
-    thetas = np.empty(count, dtype=np.int32)
+    thetas = np.empty(count, dtype=np.int64)
     for s in range(0, count, batch):
         e = min(s + batch, count)
-        thetas[s:e], _ = theta_batch(b, draws[s:e])
+        thetas[s:e], _ = theta_descent(ctx, spec, draws[s:e])
     return thetas
 
 

@@ -300,8 +300,9 @@ def max_theta_by_rank(sys: ProjectiveSystem, r: int,
                       threads: int = 1) -> MaxThetaReport:
     """Maximum theta over all classes of rank r, with the first witness.
 
-    Exhaustive; vectorized for 3 x 3 matrices (n = 2).  Reports whether
-    the maximum attains the m(r) bound.
+    One exhaustive sweep for every n, ranks and theta from
+    bulk.theta_descent.  Reports whether the maximum attains the m(r)
+    bound.
     """
     ctx, spec = sys.ctx, sys.spec
     if not 1 <= r <= sys.m:
@@ -310,23 +311,9 @@ def max_theta_by_rank(sys: ProjectiveSystem, r: int,
     if total > bulk.EXHAUSTIVE_CAP:
         raise ValueError(f"{total} classes exceed the exhaustive cap")
     bound = m_bound(r, ctx.q, sys.n, spec.s)
-    if sys.m == 3:
-        opts = {"kind": "theta", "max_by_rank": True}
-        _, extras = _fold_theta_hist(sys, opts, threads)
-        mx, idx = extras["max_by_rank"][r]
-    else:
-        if total > 10 ** 5:
-            raise ValueError("generic rank filter capped at 1e5 classes; "
-                             "only n = 2 is vectorized")
-        mx, idx = -1, -1
-        chunk = 1 << 12
-        for s0 in range(0, total, chunk):
-            R = class_reps_range(ctx.q, sys.k, s0, min(s0 + chunk, total),
-                                 dtype=ctx.dtype)
-            th, _ = bulk.theta_batch(bulk._bundle(sys.cfg), R)
-            for bi in range(R.shape[0]):
-                if th[bi] > mx and rank(ctx, R[bi].reshape(sys.m, sys.m)) == r:
-                    mx, idx = int(th[bi]), s0 + bi
+    opts = {"kind": "theta", "max_by_rank": True}
+    _, extras = _fold_theta_hist(sys, opts, threads)
+    mx, idx = extras["max_by_rank"][r]
     witness = class_reps_range(ctx.q, sys.k, idx, idx + 1,
                                dtype=ctx.dtype)[0].reshape(sys.m, sys.m)
     assert rank(ctx, witness) == r

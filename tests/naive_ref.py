@@ -99,6 +99,8 @@ MODULI = {
     8: (2, 3, (1, 1, 0, 1)),
     9: (3, 2, (2, 2, 1)),
     16: (2, 4, (1, 1, 0, 0, 1)),
+    27: (3, 3, (1, 2, 0, 1)),
+    64: (2, 6, (1, 1, 0, 1, 1, 0, 1)),
 }
 
 

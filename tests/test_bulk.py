@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from twistcode import bulk, classify, eval_codeword, theta, weight_spectrum
+from twistcode import (bulk, classify, eval_codeword, make_autspec, make_field,
+                       theta, weight_spectrum)
 from twistcode.code import random_nonzero_matrix
-from twistcode.linalg import matmul, pure_tensor, rank
-from twistcode.projgeom import num_classes
+from twistcode.linalg import matmul, pure_tensor, rank, scalar_mul
+from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
-from helpers import system
+import naive_ref
+from helpers import prime_power, system
 
 
 def _batch(ps, count, seed):
@@ -28,6 +30,48 @@ def test_theta_batch_matches_scalar_theta():
         for row, th in zip(R, got.tolist()):
             M = row.reshape(ps.m, ps.m)
             assert theta(ps, M, check_identity=False).theta == th
+
+
+@pytest.mark.parametrize("cfg", [(2, 2, 1, 1), (2, 2, 1, 2), (2, 3, 1, 1)])
+def test_theta_descent_matches_theta_batch_exhaustively(cfg):
+    ps = system(*cfg)
+    R = class_reps_range(ps.ctx.q, ps.k, 0, num_classes(ps.ctx.q, ps.k),
+                         dtype=ps.ctx.dtype)
+    want, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
+    got, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
+    assert np.array_equal(got, want)
+    assert np.array_equal(ranks, bulk.rank3_batch(bulk._bundle(ps.cfg), R))
+
+
+@pytest.mark.parametrize("q,j,m,count,extra", [
+    (8, 1, 3, 40, 5), (8, 2, 3, 40, 5), (27, 1, 3, 2, 2), (9, 1, 4, 4, 2),
+    (64, 1, 2, 10, 5)])
+def test_theta_descent_matches_naive_beyond_involutions(q, j, m, count, extra):
+    # sigma of order 3 at q = 8 and 27, 2 at (9, 3) and 6 at q = 64; besides
+    # random matrices, scalar ones (N(M) = cI) and rank-1 ones load the mu-sum
+    ctx = make_field(*prime_power(q))
+    spec = make_autspec(ctx, j)
+    nf = naive_ref.make_naive(q)
+    rng = SplitMix64(q * m + j)
+    mats = [random_nonzero_matrix(ctx, m, rng) for _ in range(count)]
+    for c in range(1, extra + 1):
+        mats.append(scalar_mul(ctx, c, np.eye(m, dtype=ctx.dtype)))
+        x, xi = (random_nonzero_matrix(ctx, m, rng)[0] for _ in range(2))
+        mats.append(pure_tensor(ctx, x, xi))
+    R = np.stack([M.reshape(-1) for M in mats])
+    got, ranks = bulk.theta_descent(ctx, spec, R)
+    for M, th, r in zip(mats, got.tolist(), ranks.tolist()):
+        assert th == naive_ref.naive_theta(nf, j, M.tolist()), M.tolist()
+        assert r == rank(ctx, M)
+
+
+def test_sampled_theta_beyond_the_table_fields():
+    ps = system(2, 11, 1, 1)        # q = 2048: no q x q tables
+    got = bulk.sampled_theta(ps.cfg, 12, seed=5)
+    rng = SplitMix64(5)
+    for th in got.tolist():
+        M = random_nonzero_matrix(ps.ctx, ps.m, rng)
+        assert theta(ps, M).theta == th
 
 
 def test_zero_counts_batch_matches_codewords():

@@ -145,6 +145,14 @@ def test_sampled_spectrum_reports_mode():
     assert sum(out["counts"].values()) == 200
 
 
+def test_sampled_spectrum_beyond_the_table_fields():
+    code, out = run("spectrum", "--q", "2048", "--j", "1", "--n", "1",
+                    "--sample", "10")
+    assert code == 0
+    assert out["mode"] == "sampled"
+    assert sum(out["counts"].values()) == 10
+
+
 def test_out_writes_file():
     with tempfile.TemporaryDirectory() as tmp:
         target = Path(tmp) / "payload.json"

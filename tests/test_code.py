@@ -128,11 +128,15 @@ def test_max_theta_by_rank_small():
 
 
 def test_max_theta_by_rank_generic_route():
-    ps = system(2, 3, 1, 1)        # 2 x 2 matrices use the plain path
-    rep1 = max_theta_by_rank(ps, 1)
-    rep2 = max_theta_by_rank(ps, 2)
-    assert rep1.bound == 2 and rep2.bound == 3
-    assert rep1.attains_bound and rep2.attains_bound
+    # 2 x 2 matrices take the same sweep as n = 2; q = 64 has 266,305
+    # classes, more than the per-class rank loop this sweep replaced allowed
+    for q in (8, 64):
+        ps = system(*prime_power(q), 1, 1)
+        rep1 = max_theta_by_rank(ps, 1)
+        rep2 = max_theta_by_rank(ps, 2)
+        assert rep1.bound == 2 and rep2.bound == 3
+        assert rep1.attains_bound and rep2.attains_bound
+        assert theta(ps, rep2.witness).theta == 3
 
 
 def test_minimality_against_brute_force():

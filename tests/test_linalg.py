@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from twistcode import make_autspec, make_field
 from twistcode.linalg import (as_matrix, dot, invert, left_kernel, matmul,
                               normalize_rep, pure_tensor, rank, rank1_factor,
-                              row_echelon, sigma_entrywise, trace_product,
+                              rank_batch, row_echelon, sigma_entrywise, trace_product,
                               vecmat)
 from twistcode.rng import SplitMix64
 
@@ -28,6 +28,22 @@ def test_rank_matches_naive():
         for _ in range(60):
             A = _random_matrix(ctx, 3, rng)
             assert rank(ctx, A) == naive_ref.naive_rank(nf, A.tolist())
+
+
+@pytest.mark.parametrize("q", [4, 9, 2048])
+def test_rank_batch_matches_rank(q):
+    ctx = make_field(*prime_power(q))
+    rng = SplitMix64(q)
+    for m in (2, 3, 4):
+        A = np.stack([_random_matrix(ctx, m, rng) for _ in range(60)])
+        A[:5] = 0                               # zero matrices
+        A[5:20, -1] = A[5:20, 0]                # repeated row
+        A[20:30, :, 1] = 0                      # zero column
+        A[30:40] = A[30:40] % 2                 # sparse 0/1 entries
+        A[40:45] = pure_tensor(ctx, [1] * m, list(range(m)))   # rank 1
+        want = [rank(ctx, M) for M in A]
+        assert rank_batch(ctx, A).tolist() == want
+        assert {0, m - 1, m} <= set(want)
 
 
 def test_row_echelon_pivots_are_leading_ones():
