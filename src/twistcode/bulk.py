@@ -187,8 +187,9 @@ def theta_descent(ctx: FieldCtx, spec: AutSpec,
     so the classes with lambda != 0 lie in the eigenspaces W_mu of N(M),
     and on each W_mu Speiser's lemma (Hilbert 90) gives the fixed vectors
     of the semilinear map as an F_s-form of dimension d_mu.  Both terms
-    are looked up per rank.  Reads no q x q table; the batch is walked in
-    slices of _SLICE rows so the N(M) products stay small.
+    are looked up per rank.  The mu-sum takes one batched rank per element
+    of F_s*, so the cost grows with s.  Reads no q x q table; the batch is
+    walked in slices of _SLICE rows so the N(M) products stay small.
     """
     q, s = ctx.q, spec.s
     m = math.isqrt(R.shape[1])
@@ -263,6 +264,8 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     want_cond = opts.get("cond_theta") is not None
     if want_cond:       # the solution masks need the per-functional scan
         theta, sol = theta_batch(b, R, want_solmask=True)
+        if opts.get("rank_pairing") or opts.get("max_by_rank"):
+            ranks = rank3_batch(b, R)
     else:
         theta, ranks = theta_descent(b.ctx, b.spec, R)
     out["theta_hist"] = np.bincount(theta, minlength=b.F + 1)
@@ -336,8 +339,7 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
 # sampling
 # ---------------------------------------------------------------------------
 
-def sampled_theta(cfg: tuple, count: int, seed: int,
-                  batch: int = 1 << 14) -> np.ndarray:
+def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
     """Fixed-functional counts of `count` seeded random nonzero matrices.
 
     Goes through theta_descent, which reads no q x q table, so it works
@@ -355,11 +357,7 @@ def sampled_theta(cfg: tuple, count: int, seed: int,
             if any(row):
                 break
         draws[r] = row
-    thetas = np.empty(count, dtype=np.int64)
-    for s in range(0, count, batch):
-        e = min(s + batch, count)
-        thetas[s:e], _ = theta_descent(ctx, spec, draws[s:e])
-    return thetas
+    return theta_descent(ctx, spec, draws)[0].astype(np.int64)
 
 
 def conj_images(ctx, L: np.ndarray, X: np.ndarray, Rm: np.ndarray) -> np.ndarray:

@@ -454,8 +454,6 @@ def second_weight_check(sys: ProjectiveSystem,
     w_min = qn1 * (pts - m1)
     w_second = qn1 * (pts - (m1 - 1))
 
-    if sys.m != 3:
-        raise ValueError("full sweep is vectorized for n = 2 only")
     total = num_classes(q, sys.k)
     if total > bulk.EXHAUSTIVE_CAP:
         raise ValueError("class count exceeds the exhaustive cap")

@@ -53,21 +53,18 @@ def dot(ctx: FieldCtx, u, v) -> int:
 def matmul(ctx: FieldCtx, A, B) -> np.ndarray:
     """A @ B over GF(q), broadcasting over leading axes like numpy.matmul.
 
-    All products are gathered at once and then summed over the shared
-    axis k.  Two matrices give an (n, k, p) product array.  Stacks of
-    matrices give a (k, n, p, ...) one, with the stack axes last: every
-    gather and sum then runs along them in contiguous memory rather than
-    along rows of p entries, which is 2-4x faster for stacks of small
-    matrices.  A stacked result is a (..., n, p) view of that layout.
+    All products are gathered at once into a (k, n, p, ...) array, with
+    the shared axis k first and any stack axes last, and then summed over
+    k.  Every gather and sum then runs along the stack in contiguous
+    memory rather than along rows of p entries, which is 2-4x faster for
+    stacks of small matrices.  The result is a (..., n, p) view of that
+    layout.
     """
     A = np.asarray(A)
     B = np.asarray(B)
     if A.ndim < 2 or B.ndim < 2 or A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} x {B.shape}")
     nd = max(A.ndim, B.ndim)
-    if nd == 2:
-        prods = ctx.mul_np(A[:, :, None], B[None, :, :])
-        return ctx.sum_np(prods, axis=1).astype(ctx.dtype, copy=False)
     A = A.reshape((1,) * (nd - A.ndim) + A.shape)
     B = B.reshape((1,) * (nd - B.ndim) + B.shape)
     stack = range(nd - 2)

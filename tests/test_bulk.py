@@ -5,7 +5,7 @@ import pytest
 
 from twistcode import (bulk, classify, eval_codeword, make_autspec, make_field,
                        theta, weight_spectrum)
-from twistcode.code import random_nonzero_matrix
+from twistcode.code import m_bound, random_nonzero_matrix
 from twistcode.linalg import matmul, pure_tensor, rank, scalar_mul
 from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
@@ -32,15 +32,18 @@ def test_theta_batch_matches_scalar_theta():
             assert theta(ps, M, check_identity=False).theta == th
 
 
-@pytest.mark.parametrize("cfg", [(2, 2, 1, 1), (2, 2, 1, 2), (2, 3, 1, 1)])
+@pytest.mark.parametrize("cfg", [(2, 2, 1, 1), (2, 2, 1, 2), (2, 3, 1, 1),
+                                 (2, 2, 0, 2), (2, 4, 2, 1), (2, 4, 0, 1)])
 def test_theta_descent_matches_theta_batch_exhaustively(cfg):
+    # sigma = 1 (j = 0) makes s = q, so the mu-sum runs over all of F_q*;
+    # q = 16 with j = 2 has s = 4
     ps = system(*cfg)
     R = class_reps_range(ps.ctx.q, ps.k, 0, num_classes(ps.ctx.q, ps.k),
                          dtype=ps.ctx.dtype)
     want, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
     got, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
     assert np.array_equal(got, want)
-    assert np.array_equal(ranks, bulk.rank3_batch(bulk._bundle(ps.cfg), R))
+    assert ranks.tolist() == [rank(ps.ctx, M) for M in R.reshape(-1, ps.m, ps.m)]
 
 
 @pytest.mark.parametrize("q,j,m,count,extra", [
@@ -111,6 +114,22 @@ def test_pairing_batch_matches_classify():
     for M, pv in zip(mats, pair.tolist()):
         rep = classify(ps, M, check_hyperplane=False)
         assert (rep.kind == "singular") == (pv == 0)
+
+
+def test_cond_theta_sweep_keeps_the_rank_options():
+    # cond_theta takes theta from theta_batch, so the ranks that the rank
+    # options read come from rank3_batch there
+    ps = system(2, 2, 1, 2)
+    total = num_classes(4, 9)
+    opts = {"kind": "theta", "rank_pairing": True,
+            "m1": m_bound(1, 4, 2, 2), "max_by_rank": True}
+    plain = bulk.sweep_chunk(ps.cfg, opts, 0, total)
+    cond = bulk.sweep_chunk(ps.cfg, dict(opts, cond_theta=m_bound(3, 4, 2, 2)),
+                            0, total)
+    for key in ("theta_hist", "rank1_count", "qsns_count", "sing_count",
+                "w1_violations", "w2_violations", "max_by_rank"):
+        assert np.array_equal(cond[key], plain[key]), key
+    assert cond["cond_mismatches"] == 0
 
 
 def test_sweep_is_thread_invariant():

@@ -196,6 +196,12 @@ def test_second_weight_guard_on_the_small_plane():
         second_weight_check(system(2, 2, 1, 2))
 
 
+def test_second_weight_check_is_limited_by_the_class_cap():
+    # the sweep takes any m; at (4, 3) the 4^16 classes are what stop it
+    with pytest.raises(ValueError, match="exhaustive cap"):
+        second_weight_check(system(2, 2, 1, 3))
+
+
 def test_act_is_a_weight_preserving_monomial_action():
     ps = system(2, 2, 1, 2)
     ctx, spec = ps.ctx, ps.spec
