@@ -2,10 +2,11 @@
 
 Theta comes from theta_descent, a closed form in the ranks of M and of
 N(M) - mu I (Galois descent), built from linalg.matmul and
-linalg.rank_batch; it reads no q x q table, so sampled theta works at
-any q, as does conj_images.  Only theta_batch (kept for the solution
-masks of min_weight_sweep), zero_counts_batch and pairing_batch gather
-from the q x q field tables, so exhaustive sweeps require q <= 1024.
+linalg.rank_batch.  fixed_scan is the one evaluator of xi M against
+sigma(xi): theta_batch (kept for the solution masks of min_weight_sweep)
+runs it on stacks, code.theta on single matrices.  Every kernel works
+through linalg.matmul and the FieldCtx array operations, so none of
+them needs the q x q field tables, and each works at every q.
 A sweep walks the global class order in chunks; with more than one
 worker the chunks go to a fork pool and are folded in submission order,
 which keeps every aggregate (sums, histograms, first-witness tie breaks)
@@ -29,6 +30,7 @@ from .rng import SplitMix64
 EXHAUSTIVE_CAP = 2 * 10 ** 7
 DEFAULT_CHUNK = 1 << 18
 _SLICE = 1 << 14     # rows per theta_descent step; bounds its N(M) products
+_PRODUCTS = 1 << 18  # field products per slice of the scan and zero counts
 
 
 class _Bundle:
@@ -39,8 +41,6 @@ class _Bundle:
         ctx = make_field(p, t, modulus)
         spec = make_autspec(ctx, j)
         sys_ = build_system(ctx, spec, n)
-        if ctx.mul_table is None:
-            raise ValueError("vectorized sweeps need q <= 1024")
         self.cfg = cfg
         self.ctx = ctx
         self.spec = spec
@@ -49,13 +49,11 @@ class _Bundle:
         self.n = n
         self.m = n + 1
         self.k = self.m * self.m
-        self.p2 = ctx.p == 2
-        self.MUL = ctx.mul_table
-        self.ADD = ctx.add_table
-        self.SIG = spec.table
 
         g = sys_.gamma
         self.F = len(g.functionals)
+        # p2, funcs, sfuncs and lead: only perfbench/micro.py reads them
+        self.p2 = ctx.p == 2
         self.funcs = [f.rep for f in g.functionals]
         self.sfuncs = [tuple(int(spec.table[e]) for e in f.rep)
                        for f in g.functionals]
@@ -66,11 +64,7 @@ class _Bundle:
         q = self.q
         self.base = (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
         self.qn1 = q ** (n - 1)
-        self.pts = (q ** (n + 1) - 1) // (q - 1)
         self._dual_line_masks: list[int] | None = None
-
-    def vadd(self, a, b):
-        return np.bitwise_xor(a, b) if self.p2 else self.ADD[a, b]
 
     def dual_line_masks(self) -> list[int]:
         """Bit masks (over functional indices) of the lines of PG(V*)."""
@@ -95,47 +89,44 @@ def _bundle(cfg: tuple) -> _Bundle:
 # batched primitives (R is a (B, k) array of flattened matrices)
 # ---------------------------------------------------------------------------
 
-def theta_batch(b: _Bundle, R: np.ndarray, want_solmask: bool = False):
-    """Fixed-functional count per matrix in the batch.
+def fixed_scan(ctx: FieldCtx, funcs: np.ndarray, tau: np.ndarray,
+               M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Test xi M = lambda * tau(xi) for every functional class xi.
 
-    For each functional class xi the batch test is: v = xi M equals
-    lambda * sigma(xi) entrywise, where lambda = v at the leading-1
-    position of xi (sigma fixes that 1).  lambda == 0 then means xi M = 0
-    (kernel case); both cases count toward theta.
+    funcs holds one normalized representative per row, tau an entrywise
+    field automorphism as a table, and M is one m x m matrix or a stack
+    (..., m, m).  Returns (ok, lam) of shape (..., F), one entry per row
+    of funcs; lambda is read off at the leading 1 of xi, which tau fixes,
+    and lam == 0 on an ok row means xi M = 0.
+    """
+    # (F, m, ...): the stack axes last, as matmul lays them out in memory;
+    # on stacks of 3 x 3 matrices the tests below run 2.5x slower in the
+    # (..., F, m) view
+    V = np.moveaxis(matmul(ctx, funcs, M), (-2, -1), (0, 1))
+    lead = (funcs != 0).argmax(axis=1)
+    lam = V[np.arange(len(funcs)), lead]
+    sfuncs = tau[funcs].reshape(funcs.shape + (1,) * (V.ndim - 2))
+    ok = (V == ctx.mul_np(lam[:, None], sfuncs)).all(axis=1)
+    return np.moveaxis(ok, 0, -1), np.moveaxis(lam, 0, -1)
+
+
+def theta_batch(b: _Bundle, R: np.ndarray, want_solmask: bool = False):
+    """Fixed-functional count per matrix in the batch (fixed_scan).
 
     With want_solmask the per-functional solution bits for lambda != 0 are
     packed into an int64 mask (needs F <= 62 functionals).
     """
-    B = R.shape[0]
-    m, MUL = b.m, b.MUL
-    theta = np.zeros(B, dtype=np.int32)
-    sol = np.zeros(B, dtype=np.int64) if want_solmask else None
-    for f in range(b.F):
-        xi = b.funcs[f]
-        sxi = b.sfuncs[f]
-        j0 = b.lead[f]
-        vcols = []
-        for c in range(m):
-            acc = None
-            for i in range(m):
-                a = xi[i]
-                if a:
-                    term = MUL[a][R[:, i * m + c]]
-                    acc = term if acc is None else b.vadd(acc, term)
-            vcols.append(acc)
-        lam = vcols[j0]
-        ok = np.ones(B, dtype=bool)
-        for c in range(m):
-            if c == j0:
-                continue
-            sc = sxi[c]
-            if sc:
-                ok &= vcols[c] == MUL[sc][lam]
-            else:
-                ok &= vcols[c] == 0
-        theta += ok
+    funcs = b.sys.gamma.funcs_arr
+    bits = np.left_shift(1, np.arange(b.F, dtype=np.int64))
+    step = max(1, _PRODUCTS // (b.F * b.k))
+    theta = np.empty(len(R), dtype=np.int32)
+    sol = np.empty(len(R), dtype=np.int64) if want_solmask else None
+    for a in range(0, len(R), step):
+        M = R[a:a + step].reshape(-1, b.m, b.m)
+        ok, lam = fixed_scan(b.ctx, funcs, b.spec.table, M)
+        theta[a:a + step] = ok.sum(axis=1)
         if want_solmask:
-            sol |= (ok & (lam != 0)).astype(np.int64) << f
+            sol[a:a + step] = ((ok & (lam != 0)) * bits).sum(axis=1)
     return theta, sol
 
 
@@ -143,28 +134,21 @@ def zero_counts_batch(b: _Bundle, R: np.ndarray,
                       full_mask: bool = False):
     """Number of vanishing codeword coordinates per matrix in the batch.
 
-    Tr(X_i M) with X flattened row-major at a = r*m + c picks the M digit
-    at c*m + r.  Returns the count vector, or the full (B, N) boolean mask
-    when full_mask is set (minimality needs the positions).
+    As in code.eval_codeword, c_M = flat @ vec(M^T), so the batch is the
+    product of the rows vec(M^T) with flat^T.  Returns the count vector,
+    and the full (B, N) boolean mask when full_mask is set (minimality
+    needs the positions).
     """
-    B = R.shape[0]
-    m, MUL = b.m, b.MUL
-    counts = np.zeros(B, dtype=np.int32)
-    mask = np.zeros((B, b.N), dtype=bool) if full_mask else None
-    for i in range(b.N):
-        row = b.flat_rows[i]
-        acc = None
-        for a in range(b.k):
-            xa = row[a]
-            if xa:
-                r_, c_ = divmod(a, m)
-                term = MUL[xa][R[:, c_ * m + r_]]
-                acc = term if acc is None else b.vadd(acc, term)
-        iszero = acc == 0
-        counts += iszero
+    step = max(1, _PRODUCTS // (b.N * b.k))
+    counts = np.empty(len(R), dtype=np.int32)
+    mask = np.empty((len(R), b.N), dtype=bool) if full_mask else None
+    for a in range(0, len(R), step):
+        W = R[a:a + step].reshape(-1, b.m, b.m).transpose(0, 2, 1)
+        zero = matmul(b.ctx, W.reshape(-1, b.k), b.sys.flat.T) == 0
+        counts[a:a + step] = zero.sum(axis=1)
         if full_mask:
-            mask[:, i] = iszero
-    return (counts, mask) if full_mask else (counts, None)
+            mask[a:a + step] = zero
+    return counts, mask
 
 
 def rank3_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
@@ -231,11 +215,11 @@ def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
     zeta = np.take_along_axis(R3, i0[:, None, None], axis=1)[:, 0, :]
     j0 = (zeta != 0).argmax(axis=1)
     u = np.take_along_axis(R3, j0[:, None, None], axis=2)[:, :, 0]
-    su = b.SIG[u]
-    acc = None
-    for c in range(m):
-        term = b.MUL[zeta[:, c], su[:, c]]
-        acc = term if acc is None else b.vadd(acc, term)
+    su = b.spec.table[u]
+    ctx = b.ctx
+    acc = ctx.mul_np(zeta[:, 0], su[:, 0])
+    for c in range(1, m):       # per column: one (m, B) product costs memory
+        acc = ctx.add_np(acc, ctx.mul_np(zeta[:, c], su[:, c]))
     return acc
 
 
@@ -291,9 +275,9 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
 
     if opts.get("rank_pairing"):
         rank1 = ranks == 1
-        pair = pairing_batch(b, R)
-        qsns = rank1 & (pair != 0)
-        sing = rank1 & (pair == 0)
+        qsns = np.zeros_like(rank1)
+        qsns[rank1] = pairing_batch(b, R[rank1]) != 0
+        sing = rank1 & ~qsns
         out["rank1_count"] = int(rank1.sum())
         out["qsns_count"] = int(qsns.sum())
         out["sing_count"] = int(sing.sum())
@@ -342,21 +326,22 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
 def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
     """Fixed-functional counts of `count` seeded random nonzero matrices.
 
-    Goes through theta_descent, which reads no q x q table, so it works
-    at every q.
+    The draws are those of code.random_nonzero_matrix, taken in blocks;
+    theta comes from theta_descent.
     """
     p, t, modulus, j, n = cfg
     ctx = make_field(p, t, modulus)
     spec = make_autspec(ctx, j)
     q, k = ctx.q, (n + 1) ** 2
     rng = SplitMix64(seed)
-    draws = np.empty((count, k), dtype=ctx.dtype)
-    for r in range(count):
-        while True:
-            row = [rng.below(q) for _ in range(k)]
-            if any(row):
-                break
-        draws[r] = row
+    # the rows of k below(q) draws each, all-zero rows rejected; a rejected
+    # row uses up its k words, so drawing only what is missing keeps the
+    # stream position of the one-draw-at-a-time loop
+    draws = np.empty((0, k), dtype=ctx.dtype)
+    while len(draws) < count:
+        words = rng.words((count - len(draws)) * k) % q
+        rows = words.astype(ctx.dtype).reshape(-1, k)
+        draws = np.concatenate([draws, rows[rows.any(axis=1)]])
     return theta_descent(ctx, spec, draws)[0].astype(np.int64)
 
 

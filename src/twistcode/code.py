@@ -122,24 +122,6 @@ def eval_codeword(sys: ProjectiveSystem, M) -> Codeword:
     return Codeword(values=matmul(ctx, sys.flat, w)[:, 0], matrix=M)
 
 
-def _fixed_scan(sys: ProjectiveSystem, M,
-                tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Test xi M = lambda * tau(xi) for every functional class xi.
-
-    tau is an entrywise field automorphism given by its table.  Returns
-    (ok, lam) over sys.gamma.funcs_arr, whose row position is the class
-    index; lambda is read off at the leading 1 of xi, which tau fixes,
-    and lam == 0 on an ok row means xi M = 0.
-    """
-    ctx = sys.ctx
-    funcs = sys.gamma.funcs_arr
-    V = matmul(ctx, funcs, M)
-    lead = (funcs != 0).argmax(axis=1)
-    lam = V[np.arange(len(funcs)), lead]
-    ok = (V == ctx.mul_np(lam[:, None], tau[funcs])).all(axis=1)
-    return ok, lam
-
-
 def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
     """Fixed-functional count of a nonzero matrix, plus the identity check.
 
@@ -152,7 +134,7 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
     M = as_matrix(ctx, M, square=sys.m)
     if not M.any():
         raise ValueError("theta of the zero matrix is undefined")
-    ok, lam = _fixed_scan(sys, M, sys.spec.table)
+    ok, lam = bulk.fixed_scan(ctx, sys.gamma.funcs_arr, sys.spec.table, M)
     kernel = int((ok & (lam == 0)).sum())
     prop = int((ok & (lam != 0)).sum())
     th = kernel + prop
@@ -376,10 +358,11 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
 
 def _solutions(sys: ProjectiveSystem, M) -> list[tuple[tuple[int, ...], int]]:
     """All (xi rep, lambda) with xi M = lambda sigma(xi), lambda != 0."""
-    M = as_matrix(sys.ctx, M, square=sys.m)
-    ok, lam = _fixed_scan(sys, M, sys.spec.table)
-    fns = sys.gamma.functionals
-    return [(fns[i].rep, int(lam[i])) for i in np.flatnonzero(ok & (lam != 0))]
+    ctx, g = sys.ctx, sys.gamma
+    M = as_matrix(ctx, M, square=sys.m)
+    ok, lam = bulk.fixed_scan(ctx, g.funcs_arr, sys.spec.table, M)
+    return [(g.functionals[i].rep, int(lam[i]))
+            for i in np.flatnonzero(ok & (lam != 0))]
 
 
 def min_weight_condition_n2(sys: ProjectiveSystem, M) -> bool:
@@ -597,7 +580,8 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def _solution_index_set(sys: ProjectiveSystem, M) -> set[int]:
-    ok, lam = _fixed_scan(sys, M, sys.spec.table)
+    g = sys.gamma
+    ok, lam = bulk.fixed_scan(sys.ctx, g.funcs_arr, sys.spec.table, M)
     return set(np.flatnonzero(ok & (lam != 0)).tolist())
 
 

@@ -10,13 +10,13 @@ All arithmetic is table based.  A FieldCtx carries
 
 * exp/log lists for the cyclic group (the construction of the exp table
   doubles as the primitivity proof for the generator),
-* full q x q add/sub/mul numpy tables for q <= 1024 (the sweep kernels
-  gather from these), and
+* full q x q add/mul numpy tables for q <= 1024, and
 * per-element neg/inv tables.
 
 The array operations add_np, mul_np and sum_np (the field sum along one
 axis) work at every q: above q = 1024 they add by XOR (p = 2) or digit
-sums and multiply through the exp/log tables.
+sums and multiply through the exp/log tables.  Other modules go through
+them and the scalar operations; none reads the q x q tables itself.
 
 Field axioms are verified exhaustively at construction for q <= 512 and on
 a fixed deterministic sample of triples above that.
@@ -317,7 +317,6 @@ class FieldCtx:
         p, q = self.p, self.q
         if q > _FULL_TABLE_CAP:
             self.add_table = None
-            self.sub_table = None
             self.mul_table = None
             self._addl = None
             self._mull = None
@@ -336,8 +335,6 @@ class FieldCtx:
         mt[1:, 1:] = self.exp[(lg[1:, None] + lg[None, 1:]) % (q - 1)]
         self.add_table = add.astype(self.dtype)
         self.mul_table = mt.astype(self.dtype)
-        self.sub_table = self.add_table[
-            np.arange(q)[:, None], self.neg_table[None, :]]
         if q <= _LIST_TABLE_CAP:
             self._addl = [[int(v) for v in row] for row in add]
             self._mull = [[int(v) for v in row] for row in mt]

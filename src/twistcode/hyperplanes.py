@@ -34,6 +34,7 @@ from typing import NoReturn
 
 import numpy as np
 
+from . import bulk
 from . import code as code_ops
 from .embedding import ProjectiveSystem
 from .gf import FieldCtx, make_field
@@ -90,8 +91,9 @@ def phi_fixed_points(sys: ProjectiveSystem, M) -> int:
     when y M^T = lambda sigma^(-1)(y), so the count is the lambda != 0
     part of the functional scan with sigma^(-1) on M^T.
     """
-    M = as_matrix(sys.ctx, M, square=sys.m)
-    ok, lam = code_ops._fixed_scan(sys, M.T, sys.spec.inv_table)
+    ctx, spec = sys.ctx, sys.spec
+    M = as_matrix(ctx, M, square=sys.m)
+    ok, lam = bulk.fixed_scan(ctx, sys.gamma.funcs_arr, spec.inv_table, M.T)
     return int((ok & (lam != 0)).sum())
 
 

@@ -22,14 +22,21 @@ def _batch(ps, count, seed):
 
 
 def test_theta_batch_matches_scalar_theta():
+    # code.theta runs the same fixed_scan, so naive_theta is the oracle
     for cfg in [(2, 2, 1, 2), (2, 3, 1, 2), (3, 2, 1, 2)]:
         ps = system(*cfg)
+        nf = naive_ref.make_naive(ps.ctx.q)
         b = bulk._bundle(ps.cfg)
         R = _batch(ps, 50, sum(cfg))
         got, _ = bulk.theta_batch(b, R)
         for row, th in zip(R, got.tolist()):
             M = row.reshape(ps.m, ps.m)
             assert theta(ps, M, check_identity=False).theta == th
+            assert naive_ref.naive_theta(nf, ps.spec.j, M.tolist()) == th
+    ps = system(2, 11, 1, 1)        # q = 2048: no q x q tables
+    R = _batch(ps, 12, 7)
+    got, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
+    assert np.array_equal(got, bulk.theta_descent(ps.ctx, ps.spec, R)[0])
 
 
 @pytest.mark.parametrize("cfg", [(2, 2, 1, 1), (2, 2, 1, 2), (2, 3, 1, 1),
@@ -77,13 +84,31 @@ def test_sampled_theta_beyond_the_table_fields():
         assert theta(ps, M).theta == th
 
 
-def test_zero_counts_batch_matches_codewords():
-    ps = system(2, 2, 1, 2)
+def test_sampled_theta_draws_rows_like_the_scalar_loop():
+    # at q = 2 with 2 x 2 matrices one row in 16 is zero, so the block
+    # draws must reject rows exactly where random_nonzero_matrix does
+    ps = system(2, 1, 0, 1)
+    rng = SplitMix64(9)
+    mats, rejected = [], 0
+    while len(mats) < 300:
+        M = np.array(rng.elements(2, 4), dtype=ps.ctx.dtype).reshape(2, 2)
+        if M.any():
+            mats.append(M)
+        else:
+            rejected += 1
+    assert rejected > 0
+    got = bulk.sampled_theta(ps.cfg, 300, seed=9)
+    assert got.tolist() == [theta(ps, M).theta for M in mats]
+
+
+@pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (3, 2, 1, 2), (2, 11, 1, 1)])
+def test_zero_counts_batch_matches_codewords(cfg):
+    ps = system(*cfg)
     b = bulk._bundle(ps.cfg)
     R = _batch(ps, 40, 3)
     counts, mask = bulk.zero_counts_batch(b, R, full_mask=True)
     for row, z, mk in zip(R, counts.tolist(), mask):
-        cw = eval_codeword(ps, row.reshape(3, 3))
+        cw = eval_codeword(ps, row.reshape(ps.m, ps.m))
         assert ps.N - cw.weight == z
         assert np.array_equal(cw.values == 0, mk)
 
@@ -97,15 +122,17 @@ def test_rank3_batch_matches_rank():
         assert rank(ps.ctx, row.reshape(3, 3)) == r
 
 
-def test_pairing_batch_matches_classify():
-    ps = system(2, 3, 1, 2)
+@pytest.mark.parametrize("cfg", [(2, 3, 1, 2), (2, 2, 1, 2), (3, 2, 1, 2),
+                                 (2, 11, 1, 1)])
+def test_pairing_batch_matches_classify(cfg):
+    ps = system(*cfg)
     ctx = ps.ctx
     b = bulk._bundle(ps.cfg)
     rng = SplitMix64(11)
     mats = []
     for _ in range(40):
-        u = np.array([rng.below(8) for _ in range(3)], dtype=ctx.dtype)
-        z = np.array([rng.below(8) for _ in range(3)], dtype=ctx.dtype)
+        u = np.array(rng.elements(ctx.q, ps.m), dtype=ctx.dtype)
+        z = np.array(rng.elements(ctx.q, ps.m), dtype=ctx.dtype)
         if not u.any() or not z.any():
             continue
         mats.append(pure_tensor(ctx, u, z))

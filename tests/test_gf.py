@@ -1,9 +1,13 @@
 """Field contexts and twist automorphisms against the frozen oracle."""
 
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twistcode
 from twistcode import make_autspec, make_field, norm
 from twistcode.gf import apply_sigma, apply_sigma_inverse
 
@@ -167,3 +171,13 @@ def test_default_moduli_make_x_the_generator():
         p, t = prime_power(q)
         if t > 1:
             assert make_field(p, t).gen == p  # the encoding of x
+
+
+def test_only_gf_reads_the_field_tables():
+    # every other module multiplies and adds through the FieldCtx array
+    # and scalar operations, so the tables stay an internal of gf.py
+    src = Path(twistcode.__file__).parent
+    readers = sorted(path.name for path in src.glob("*.py")
+                     if path.name != "gf.py"
+                     and re.search(r"\b(mul|add|sub)_table\b", path.read_text()))
+    assert readers == []
