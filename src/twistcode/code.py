@@ -29,7 +29,7 @@ from .embedding import ProjectiveSystem
 from .gf import AutSpec, FieldCtx, norm
 from .linalg import (as_matrix, invert, is_scalar_matrix, left_kernel, matmul,
                      normalize_rep, rank, scalar_mul, sigma_entrywise)
-from .projgeom import class_reps_range, enumerate_lines, num_classes
+from .projgeom import class_reps_range, line_array, num_classes
 from .rng import SplitMix64
 
 
@@ -579,10 +579,10 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
 # solution bounds (line and subspace)
 # ---------------------------------------------------------------------------
 
-def _solution_index_set(sys: ProjectiveSystem, M) -> set[int]:
-    g = sys.gamma
-    ok, lam = bulk.fixed_scan(sys.ctx, g.funcs_arr, sys.spec.table, M)
-    return set(np.flatnonzero(ok & (lam != 0)).tolist())
+def _solution_mask(sys: ProjectiveSystem, M) -> np.ndarray:
+    """Over the functional classes: whether xi M = lambda sigma(xi), lambda != 0."""
+    ok, lam = bulk.fixed_scan(sys.ctx, sys.gamma.funcs_arr, sys.spec.table, M)
+    return ok & (lam != 0)
 
 
 def line_solution_bound(sys: ProjectiveSystem, M) -> dict:
@@ -595,16 +595,13 @@ def line_solution_bound(sys: ProjectiveSystem, M) -> dict:
     M = as_matrix(ctx, M, square=sys.m)
     if rank(ctx, M) != sys.m:
         raise ValueError("the line bound applies to invertible matrices")
-    sols = _solution_index_set(sys, M)
-    worst = 0
-    worst_line = None
-    for li, line in enumerate(enumerate_lines(ctx, sys.m)):
-        hits = sum(1 for i in line if i in sols)
-        if hits > worst:
-            worst, worst_line = hits, li
+    sols = _solution_mask(sys, M)
+    hits = sols[line_array(ctx, sys.m)].sum(axis=1)
+    worst_line = int(np.argmax(hits))       # the first line with the maximum
+    worst = int(hits[worst_line])
     bound = spec.s + 1
-    return {"solutions": len(sols), "max_on_a_line": worst,
-            "line_index": worst_line, "bound": bound,
+    return {"solutions": int(sols.sum()), "max_on_a_line": worst,
+            "line_index": worst_line if worst else None, "bound": bound,
             "ok": worst <= bound}
 
 
@@ -621,7 +618,7 @@ def subspace_solution_bound(sys: ProjectiveSystem, M, samples: int = 100,
     M = as_matrix(ctx, M, square=sys.m)
     if rank(ctx, M) != sys.m:
         raise ValueError("the subspace bound applies to invertible matrices")
-    sols = _solution_index_set(sys, M)
+    sols = _solution_mask(sys, M)
     rng = SplitMix64(seed)
     worst_ratio = 0.0
     violations = 0
@@ -634,7 +631,7 @@ def subspace_solution_bound(sys: ProjectiveSystem, M, samples: int = 100,
             continue
         checked += 1
         inside = sum(1 for rep in span_classes(ctx, B)
-                     if class_index(ctx.q, sys.m, rep) in sols)
+                     if sols[class_index(ctx.q, sys.m, rep)])
         bound = (spec.s ** r - 1) // (spec.s - 1)
         if inside > bound:
             violations += 1

@@ -23,9 +23,10 @@ import numpy as np
 
 from .gf import FieldCtx
 from .linalg import matmul
-from .projgeom import POINT_CAP, ProjClass, enumerate_lines, enumerate_pg
+from .projgeom import POINT_CAP, ProjClass, enumerate_pg, line_array
 
 FLAG_CAP = POINT_CAP
+_PAIR_BLOCK = 1 << 22     # booleans per block of the containment test
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class Gamma:
         self._flag_index = {(f.point.index, f.functional.index): f.index
                             for f in flags}
         self._lines: list[GammaLine] | None = None
+        self._line_flags: tuple[np.ndarray, int] | None = None
 
     @property
     def N(self) -> int:
@@ -91,49 +93,50 @@ class Gamma:
 
     # -- lines -------------------------------------------------------------
 
+    def line_flags(self) -> tuple[np.ndarray, int]:
+        """Every line as a row of flag indices, and the point-pencil count.
+
+        Point pencils come first, ordered by (H, r), then hyperplane pencils,
+        ordered by (p, S); each row is ascending.  Built on first call.
+        """
+        if self._line_flags is not None:
+            return self._line_flags
+        q, P = self.ctx.q, len(self.points)
+        pg = line_array(self.ctx, self.n + 1)
+        inc = np.zeros((len(self.functionals), P), dtype=bool)
+        inc[self.func_idx, self.point_idx] = True
+
+        def flag_rows(major, minor, y, xs):
+            # flag index of each incident pair (major y[i], minor xs[i, c]);
+            # xs is a fresh array and becomes the search keys in place
+            keys = major.astype(np.int64) * P + minor
+            order = np.argsort(keys, kind="stable")
+            xs += y[:, None] * P
+            found = np.searchsorted(keys, xs, sorter=order)
+            np.take(order, found, out=found)
+            assert np.array_equal(keys[found], xs), "pencil member not a flag"
+            return found.astype(np.int32)
+
+        # point pencils (H, r): pairs of a hyperplane and a line of points;
+        # hyperplane pencils (p, S): S is cut out by a dual line of functionals
+        h, r = _incident_pairs(np.ascontiguousarray(inc.T), pg)
+        p, d = _incident_pairs(inc, pg)
+        pencils = flag_rows(self.func_idx, self.point_idx, h, pg[r])
+        duals = flag_rows(self.point_idx, self.func_idx, p, pg[d])
+        # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
+        per_family = len(pg) * (q ** (self.n - 1) - 1) // (q - 1)
+        assert len(pencils) == len(duals) == per_family, \
+            (len(pencils), len(duals), per_family)
+        self._line_flags = np.concatenate([pencils, duals]), len(pencils)
+        return self._line_flags
+
     def lines(self) -> list[GammaLine]:
         """Both line families, point pencils first; cached after first call."""
-        if self._lines is not None:
-            return self._lines
-        ctx, n = self.ctx, self.n
-        q = ctx.q
-        inc = np.zeros((len(self.functionals), len(self.points)), dtype=bool)
-        for h, hit in enumerate(self.by_functional):
-            inc[h, hit] = True
-
-        out: list[GammaLine] = []
-        # point pencils: (hyperplane H, line r inside H), ordered by (H, r)
-        pg_lines = enumerate_lines(ctx, n + 1)
-        pencil_pairs: list[tuple[int, int]] = []
-        for li, line in enumerate(pg_lines):
-            for h in np.flatnonzero(inc[:, line].all(axis=1)):
-                pencil_pairs.append((int(h), li))
-        pencil_pairs.sort()
-        for h, li in pencil_pairs:
-            members = tuple(sorted(self._flag_index[(p, h)] for p in pg_lines[li]))
-            out.append(GammaLine("point-pencil", members))
-        npp = len(out)
-
-        # hyperplane pencils: (point p, codim-2 space S through p); S is the
-        # common zero set of a dual line of functionals; ordered by (p, S)
-        dual_lines = enumerate_lines(ctx, n + 1)   # lines of PG(V*), same shape
-        dual_pairs: list[tuple[int, int]] = []
-        for di, pencil in enumerate(dual_lines):
-            for p in np.flatnonzero(inc[pencil, :].all(axis=0)):
-                dual_pairs.append((int(p), di))
-        dual_pairs.sort()
-        for p, di in dual_pairs:
-            members = tuple(sorted(self._flag_index[(p, h)] for h in dual_lines[di]))
-            out.append(GammaLine("hyperplane-pencil", members))
-
-        for ln in out:
-            assert len(ln.flags) == q + 1
-        # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
-        per_family = len(pg_lines) * (q ** (n - 1) - 1) // (q - 1)
-        assert npp == per_family and len(out) == 2 * per_family, \
-            (npp, len(out), per_family)
-        self._lines = out
-        return out
+        if self._lines is None:
+            flags, npp = self.line_flags()
+            self._lines = [GammaLine(_family(i, npp), tuple(row))
+                           for i, row in enumerate(flags.tolist())]
+        return self._lines
 
     def is_geometric_hyperplane(self, flagset) -> tuple[bool, GammaLine | None]:
         """Check the one-or-all property of a flag subset against every line.
@@ -142,18 +145,44 @@ class Gamma:
         meets it in exactly one flag; otherwise (False, first bad line).
         Raises ValueError for flag indices outside the geometry.
         """
+        idx = np.array([f.index if isinstance(f, Flag) else int(f)
+                        for f in flagset], dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= self.N)]
+        if bad.size:
+            raise ValueError(f"flag index {int(bad[0])} outside the geometry")
         members = np.zeros(self.N, dtype=bool)
-        for f in flagset:
-            idx = f.index if isinstance(f, Flag) else int(f)
-            if not 0 <= idx < self.N:
-                raise ValueError(f"flag index {idx} outside the geometry")
-            members[idx] = True
-        q = self.ctx.q
-        for ln in self.lines():
-            c = int(members[list(ln.flags)].sum())
-            if c != 1 and c != q + 1:
-                return False, ln
+        members[idx] = True
+        flags, npp = self.line_flags()
+        c = members[flags].sum(axis=1)
+        offenders = np.flatnonzero((c != 1) & (c != self.ctx.q + 1))
+        if offenders.size:
+            i = int(offenders[0])
+            return False, GammaLine(_family(i, npp), tuple(flags[i].tolist()))
         return True, None
+
+
+def _incident_pairs(inc: np.ndarray, lines: np.ndarray):
+    """(y, line) pairs, ordered by y then line, with y incident to the line.
+
+    inc[x, y] says whether x and y are incident, and the lines are lines
+    of x's.  y is incident to a line iff it is incident to the line's first
+    two members, which span it.  The lines go in blocks, so no lines x y
+    array is ever whole.
+    """
+    step = max(1, _PAIR_BLOCK // inc.shape[1])
+    ls, ys = [], []
+    for lo in range(0, len(lines), step):
+        block = lines[lo:lo + step]
+        li, y = np.nonzero(inc[block[:, 0]] & inc[block[:, 1]])
+        ls.append(li + lo)
+        ys.append(y)
+    li, y = np.concatenate(ls), np.concatenate(ys)
+    order = np.lexsort((li, y))
+    return y[order], li[order]
+
+
+def _family(i: int, npp: int) -> str:
+    return "point-pencil" if i < npp else "hyperplane-pencil"
 
 
 @functools.lru_cache(maxsize=None)

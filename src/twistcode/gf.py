@@ -368,13 +368,16 @@ class FieldCtx:
                 assert np.array_equal(mrow[add], add[mrow[:, None], mrow[None, :]]), \
                     "distributivity broken"
         else:
-            rng = SplitMix64(0xF1E1D)
-            for _ in range(10 ** 5):
-                x, b, c = rng.below(q), rng.below(q), rng.below(q)
-                assert self.mul(x, self.add(b, c)) == \
-                    self.add(self.mul(x, b), self.mul(x, c))
-                assert self.mul(self.mul(x, b), c) == self.mul(x, self.mul(b, c))
-                assert self.add(self.add(x, b), c) == self.add(x, self.add(b, c))
+            # 10^5 triples, the draws of a scalar below(q) loop in one block
+            x, b, c = (SplitMix64(0xF1E1D).words(3 * 10 ** 5) % np.uint64(q)
+                       ).astype(np.int64).reshape(-1, 3).T
+            add, mul = self.add_np, self.mul_np
+            assert np.array_equal(mul(x, add(b, c)), add(mul(x, b), mul(x, c))), \
+                "distributivity broken"
+            assert np.array_equal(mul(mul(x, b), c), mul(x, mul(b, c))), \
+                "multiplication not associative"
+            assert np.array_equal(add(add(x, b), c), add(x, add(b, c))), \
+                "addition not associative"
 
     # -- scalar operations ---------------------------------------------------
 

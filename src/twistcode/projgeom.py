@@ -78,6 +78,20 @@ def class_index(q: int, k: int, rep) -> int:
     return num_classes(q, tail_len) + local
 
 
+def class_indices(q: int, reps) -> np.ndarray:
+    """class_index of every normalized representative along the last axis.
+
+    With tail = k - 1 - lead, the index is (q^tail - 1)/(q - 1) plus the
+    digits read in base q, minus the leading 1's q^tail.
+    """
+    reps = np.asarray(reps, dtype=np.int64)
+    k = reps.shape[-1]
+    tail = k - 1 - np.argmax(reps != 0, axis=-1)
+    offset = np.array([num_classes(q, t) - q ** t for t in range(k)],
+                      dtype=np.int64)
+    return offset[tail] + reps @ q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
 def normalize_tuple(ctx: FieldCtx, vec) -> tuple[int, ...]:
     """Normalized representative of a nonzero vector, as a digit tuple."""
     vals = list(map(int, vec))
@@ -104,10 +118,6 @@ def enumerate_pg(ctx: FieldCtx, dim: int) -> list[ProjClass]:
         raise ValueError(f"PG enumeration of {total} points exceeds cap {POINT_CAP}")
     reps = class_reps_range(ctx.q, dim, 0, total)
     return [ProjClass(i, tuple(map(int, reps[i]))) for i in range(total)]
-
-
-def index_map(points: list[ProjClass]) -> dict[tuple[int, ...], int]:
-    return {pt.rep: pt.index for pt in points}
 
 
 def incident(ctx: FieldCtx, point, functional) -> bool:
@@ -174,23 +184,50 @@ def span_classes(ctx: FieldCtx, gens) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _lines_cached(ctx: FieldCtx, dim: int) -> tuple[tuple[int, ...], ...]:
-    points = enumerate_pg(ctx, dim)
-    imap = index_map(points)
-    lines = []
-    for i, a in enumerate(points):
-        for b in points[i + 1:]:
-            members = sorted(imap[rep] for rep in line_through(ctx, a, b))
-            if members[0] == i and members[1] == b.index:
-                lines.append(tuple(members))
-    return tuple(lines)
+def line_array(ctx: FieldCtx, dim: int) -> np.ndarray:
+    """All lines of PG(dim-1, q) as a read-only (L, q+1) array of point indices.
+
+    Each line is enumerated once, from its 2-dimensional subspace in reduced
+    echelon form: for pivots i < j, row 1 is e_i plus free digits in the
+    columns after i other than j, row 2 is e_j plus free digits after j.
+    The members row 2 and row 1 + lam * row 2 are already normalized.  Rows
+    are ascending and ordered by their two smallest entries, the order of
+    enumerate_lines; cached per (ctx, dim).
+    """
+    if dim < 2:
+        raise ValueError("lines need dim >= 2")
+    q = ctx.q
+    total = num_classes(q, dim)
+    if total > POINT_CAP:
+        raise ValueError(f"PG enumeration of {total} points exceeds cap {POINT_CAP}")
+    lam = np.arange(q, dtype=ctx.dtype)[None, :, None]
+    blocks = []
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            free1 = [c for c in range(i + 1, dim) if c != j]
+            free2 = list(range(j + 1, dim))
+            f = len(free1) + len(free2)
+            digits = (np.arange(q ** f)[:, None]
+                      // q ** np.arange(f - 1, -1, -1)) % q
+            row1 = np.zeros((q ** f, dim), dtype=ctx.dtype)
+            row2 = np.zeros((q ** f, dim), dtype=ctx.dtype)
+            row1[:, i] = 1
+            row1[:, free1] = digits[:, :len(free1)]
+            row2[:, j] = 1
+            row2[:, free2] = digits[:, len(free1):]
+            pts = ctx.add_np(ctx.mul_np(lam, row2[:, None, :]), row1[:, None, :])
+            blocks.append(np.concatenate(
+                [class_indices(q, pts), class_indices(q, row2)[:, None]], axis=1))
+    lines = np.sort(np.concatenate(blocks), axis=1)
+    lines = lines[np.lexsort((lines[:, 1], lines[:, 0]))]
+    assert len(lines) == total * num_classes(q, dim - 1) // (q + 1)
+    lines.setflags(write=False)
+    return lines
 
 
 def enumerate_lines(ctx: FieldCtx, dim: int) -> tuple[tuple[int, ...], ...]:
     """All lines of PG(dim-1, q) as sorted tuples of point indices.
 
-    Ordered by their two smallest point indices; cached per (ctx, dim).
+    Ordered by their two smallest point indices; built from line_array.
     """
-    if dim < 2:
-        raise ValueError("lines need dim >= 2")
-    return _lines_cached(ctx, dim)
+    return tuple(map(tuple, line_array(ctx, dim).tolist()))

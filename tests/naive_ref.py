@@ -95,6 +95,8 @@ class NaiveGF:
 
 # default moduli, matching docs/field-encoding.md (low degree first)
 MODULI = {
+    2: (2, 1, (1, 1)),
+    3: (3, 1, (1, 1)),
     4: (2, 2, (1, 1, 1)),
     8: (2, 3, (1, 1, 0, 1)),
     9: (3, 2, (2, 2, 1)),
@@ -150,6 +152,30 @@ def naive_normalize(gf: NaiveGF, vec) -> tuple[int, ...]:
     lead = next(v for v in vec if v)
     f = gf.inv(lead)
     return tuple(gf.mul(f, v) for v in vec)
+
+
+def naive_lines(gf: NaiveGF, k: int) -> tuple[tuple[int, ...], ...]:
+    """Lines of PG(k-1, q) from a scan of every point pair.
+
+    Each pair spans the q + 1 classes of b and a + lam*b; a line is kept
+    when the pair is its two smallest members, so lines come out ordered
+    by their two smallest point indices.
+    """
+    reps = naive_class_reps(gf.q, k)
+    index = {rep: i for i, rep in enumerate(reps)}
+    lines = []
+    for i, a in enumerate(reps):
+        for j in range(i + 1, len(reps)):
+            b = reps[j]
+            members = {index[b]}
+            for lam in range(gf.q):
+                v = [gf.add(x, gf.mul(lam, y)) for x, y in zip(a, b)]
+                members.add(index[naive_normalize(gf, v)])
+            members = sorted(members)
+            assert len(members) == gf.q + 1
+            if members[:2] == [i, j]:
+                lines.append(tuple(members))
+    return tuple(lines)
 
 
 # ---------------------------------------------------------------------------

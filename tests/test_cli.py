@@ -2,6 +2,9 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -244,6 +247,19 @@ def test_autcheck_beyond_the_table_fields():
                         "--trials", count, "--nonkernel", count)
         assert code == 0, q
         assert out["ok"] is True, q
+
+
+def test_classify_on_the_single_line_of_pg1_2048():
+    # PG(1, 2048) has one line of 2049 points; a fresh interpreter with a
+    # timeout, so that a hang fails this test instead of stalling the suite
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcode.cli", "classify", "--q", "2048",
+         "--j", "1", "--n", "1", "--matrix", "1,0;0,1"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "classify"
 
 
 def test_lines_summary_and_csv():

@@ -230,6 +230,34 @@ def test_line_bound_attained_by_the_identity():
         line_solution_bound(ps, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
 
+def test_line_bound_matches_a_line_scan():
+    # the batched count against a walk over enumerate_lines, keeping the
+    # first line with the strict maximum; a fixed-point-free M has no
+    # solutions at all, so no line is named
+    from twistcode import find_fpf_collineation
+    from twistcode.code import _solution_mask
+    from twistcode.projgeom import enumerate_lines
+    rng = SplitMix64(5)
+    cases = []
+    for cfg in ((2, 2, 1, 2), (3, 2, 1, 2)):
+        ps = system(*cfg)
+        cases += [(ps, np.eye(3, dtype=ps.ctx.dtype))]
+        cases += [(ps, random_invertible(ps.ctx, 3, rng)) for _ in range(5)]
+    ps1 = system(3, 2, 1, 1)
+    cases.append((ps1, find_fpf_collineation(ps1).matrix))
+    for ps, M in cases:
+        sols = set(np.flatnonzero(_solution_mask(ps, M)).tolist())
+        worst, worst_line = 0, None
+        for li, line in enumerate(enumerate_lines(ps.ctx, ps.m)):
+            hits = sum(i in sols for i in line)
+            if hits > worst:
+                worst, worst_line = hits, li
+        res = line_solution_bound(ps, M)
+        assert (res["solutions"], res["max_on_a_line"], res["line_index"]) \
+            == (len(sols), worst, worst_line)
+    assert res["line_index"] is None
+
+
 def test_subspace_bound_holds():
     ps = system(2, 2, 1, 2)
     res = subspace_solution_bound(ps, np.eye(3, dtype=ps.ctx.dtype),

@@ -85,6 +85,24 @@ def test_hyperplane_one_or_all():
     assert not g.is_geometric_hyperplane(fiber)[0]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_first_offender_matches_a_line_scan(n):
+    # the batched one-or-all test against a walk over g.lines()
+    from twistcode import eval_codeword
+    ps = system(2, 2, 1, n)
+    g = ps.gamma
+    E12 = np.zeros((n + 1, n + 1), dtype=ps.ctx.dtype)
+    E12[0, 1] = 1
+    inside = set(np.flatnonzero(eval_codeword(ps, E12).values == 0).tolist())
+    broken = inside - {min(inside)}
+    fiber = set(np.flatnonzero(g.func_idx == 0).tolist())
+    for flagset in (broken, fiber):
+        scan = next(ln for ln in g.lines()
+                    if len(flagset.intersection(ln.flags))
+                    not in (1, ps.ctx.q + 1))
+        assert g.is_geometric_hyperplane(flagset) == (False, scan)
+
+
 def test_size_cap_and_bad_n():
     ctx = make_field(2, 2)
     with pytest.raises(ValueError):

@@ -99,6 +99,17 @@ def test_axioms_hold_at_larger_q(q, i, j, k):
         assert ctx.mul(a, ctx.inv(a)) == 1
 
 
+def test_sampled_axiom_check_catches_a_corrupt_table():
+    # above q = 512 the axioms are checked on 10^5 sampled triples
+    from twistcode.gf import FieldCtx
+    ctx = FieldCtx(3, 7)                       # fresh: make_field caches
+    ctx._verify_axioms()
+    for k in (0, ctx.q - 1):                  # both copies of the cycle
+        ctx.exp[[5 + k, 7 + k]] = ctx.exp[[7 + k, 5 + k]]
+    with pytest.raises(AssertionError):
+        ctx._verify_axioms()
+
+
 @given(st.sampled_from(DESK_Q), st.integers(0, 2 ** 48))
 @settings(max_examples=80, deadline=None)
 def test_digit_round_trip(q, i):

@@ -74,6 +74,14 @@ def test_lines_partition_pairs():
         assert len(set(lines)) == len(lines)
 
 
+@pytest.mark.parametrize("q,dim", [(2, 5), (4, 3), (9, 2), (3, 4), (8, 3)])
+def test_lines_match_the_naive_pair_scan(q, dim):
+    # echelon-form enumeration against the point-pair scan, order included
+    ctx = make_field(*prime_power(q))
+    want = naive_ref.naive_lines(naive_ref.make_naive(q), dim)
+    assert enumerate_lines(ctx, dim) == want
+
+
 def test_line_through_is_symmetric_and_closed():
     ctx = make_field(2, 2)
     a, b = (1, 0, 2), (0, 1, 3)
