@@ -24,7 +24,7 @@ import numpy as np
 from .embedding import build_system
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import _rank_upto, matmul, rank_batch
-from .projgeom import class_reps_range, enumerate_lines
+from .projgeom import class_reps_range, line_array
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -64,20 +64,13 @@ class _Bundle:
         q = self.q
         self.base = (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
         self.qn1 = q ** (n - 1)
-        self._dual_line_masks: list[int] | None = None
 
+    @functools.cached_property
     def dual_line_masks(self) -> list[int]:
         """Bit masks (over functional indices) of the lines of PG(V*)."""
-        if self._dual_line_masks is None:
-            assert self.F <= 62, "bit-mask line test needs <= 62 functionals"
-            masks = []
-            for line in enumerate_lines(self.ctx, self.m):
-                mk = 0
-                for idx in line:
-                    mk |= 1 << idx
-                masks.append(mk)
-            self._dual_line_masks = masks
-        return self._dual_line_masks
+        assert self.F <= 62, "bit-mask line test needs <= 62 functionals"
+        lines = line_array(self.ctx, self.m)
+        return np.bitwise_or.reduce(np.left_shift(1, lines), axis=1).tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -263,7 +256,7 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
 
     if want_cond:
         contained = np.zeros(R.shape[0], dtype=bool)
-        for mk in b.dual_line_masks():
+        for mk in b.dual_line_masks:
             contained |= (sol & ~mk) == 0
         cond = (sol != 0) & ~contained
         hit = theta == opts["cond_theta"]
@@ -344,7 +337,3 @@ def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
         draws = np.concatenate([draws, rows[rows.any(axis=1)]])
     return theta_descent(ctx, spec, draws)[0].astype(np.int64)
 
-
-def conj_images(ctx, L: np.ndarray, X: np.ndarray, Rm: np.ndarray) -> np.ndarray:
-    """Batched L @ X_i @ Rm over GF, X of shape (N, m, m); any q."""
-    return matmul(ctx, matmul(ctx, L, X), Rm)

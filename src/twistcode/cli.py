@@ -18,7 +18,7 @@ from typing import NoReturn
 from . import code as code_ops
 from . import hyperplanes as hp
 from .embedding import make_system
-from .gamma import flag_count
+from .gamma import FAMILIES, flag_count
 from .gf import make_autspec, make_field
 from .projgeom import num_classes
 
@@ -300,19 +300,18 @@ def _cmd_autcheck(args) -> dict:
 
 def _cmd_lines(args) -> dict | str:
     ps = _system(args)
-    lines = ps.gamma.lines()
+    flags, npp = ps.gamma.line_flags()
+    blocks = dict(zip(FAMILIES, (flags[:npp], flags[npp:])))
     if args.format == "csv":
         rows = ["family,flags"]
-        rows += [f"{ln.family},{' '.join(str(i) for i in ln.flags)}"
-                 for ln in lines]
+        for family, block in blocks.items():
+            fmt = family + "," + " ".join(["%d"] * flags.shape[1])
+            rows += [fmt % tuple(row) for row in block.tolist()]
         return "\n".join(rows) + "\n"
-    families: dict[str, int] = {}
-    for ln in lines:
-        families[ln.family] = families.get(ln.family, 0) + 1
     return {
         "config": _config_payload(ps),
-        "count": len(lines),
-        "families": families,
+        "count": len(flags),
+        "families": {f: len(b) for f, b in blocks.items() if len(b)},
         "flags_per_line": ps.ctx.q + 1,
     }
 

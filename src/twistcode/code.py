@@ -29,7 +29,7 @@ from .embedding import ProjectiveSystem
 from .gf import AutSpec, FieldCtx, norm
 from .linalg import (as_matrix, invert, is_scalar_matrix, left_kernel, matmul,
                      normalize_rep, rank, scalar_mul, sigma_entrywise)
-from .projgeom import class_reps_range, line_array, num_classes
+from .projgeom import class_indices, class_reps_range, line_array, num_classes
 from .rng import SplitMix64
 
 
@@ -484,18 +484,25 @@ def random_invertible(ctx: FieldCtx, m: int, rng: SplitMix64) -> np.ndarray:
 
 
 def _conj_permutation(sys: ProjectiveSystem, g):
-    """pi and lambda with sigma(g) X_i g^(-1) = lambda_i X_pi(i)."""
-    ctx, spec = sys.ctx, sys.spec
-    gs = sigma_entrywise(ctx, spec, g)
-    gi = invert(ctx, g)
-    imgs = bulk.conj_images(ctx, gs, sys.mats, gi).reshape(sys.N, sys.k)
-    lead = (imgs != 0).argmax(axis=1)
-    lam = imgs[np.arange(sys.N), lead].astype(ctx.dtype)
-    inv_lam = ctx.inv_table[lam]
-    reps = ctx.mul_np(inv_lam[:, None], imgs).astype(ctx.dtype)
-    perm = np.empty(sys.N, dtype=np.int64)
-    for i in range(sys.N):
-        perm[i] = sys.index_of[reps[i].tobytes()]
+    """pi and lambda with sigma(g) X_i g^(-1) = lambda_i X_pi(i).
+
+    X_i = sigma(x_i) xi_i has rank 1, so its image is sigma(g x_i) times
+    xi_i g^(-1).  With g x_i = c y and xi_i g^(-1) = b z, y and z
+    normalized, pi(i) is the flag ([y], [z]) and lambda_i = sigma(c) b.
+    """
+    ctx, gamma = sys.ctx, sys.gamma
+
+    def classes(V):
+        # leading scalar and class index of every row of V
+        lead = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+        reps = ctx.mul_np(ctx.inv_table[lead][:, None], V)
+        return lead, class_indices(ctx.q, reps)
+
+    c, pidx = classes(matmul(ctx, gamma.points_arr, g.T))
+    b, fidx = classes(matmul(ctx, gamma.funcs_arr, invert(ctx, g)))
+    perm = gamma.flag_indices(pidx[gamma.point_idx], fidx[gamma.func_idx])
+    assert (perm >= 0).all(), "conjugation moved a flag off the geometry"
+    lam = ctx.mul_np(sys.spec.table[c][gamma.point_idx], b[gamma.func_idx])
     return perm, lam
 
 
@@ -613,7 +620,7 @@ def subspace_solution_bound(sys: ProjectiveSystem, M, samples: int = 100,
     the solution classes each contains; for invertible M the count never
     exceeds (s^r - 1)/(s - 1).
     """
-    from .projgeom import class_index, span_classes
+    from .projgeom import span_classes
     ctx, spec = sys.ctx, sys.spec
     M = as_matrix(ctx, M, square=sys.m)
     if rank(ctx, M) != sys.m:
@@ -630,8 +637,7 @@ def subspace_solution_bound(sys: ProjectiveSystem, M, samples: int = 100,
         if rank(ctx, B) != r:
             continue
         checked += 1
-        inside = sum(1 for rep in span_classes(ctx, B)
-                     if sols[class_index(ctx.q, sys.m, rep)])
+        inside = int(sols[class_indices(ctx.q, span_classes(ctx, B))].sum())
         bound = (spec.s ** r - 1) // (spec.s - 1)
         if inside > bound:
             violations += 1

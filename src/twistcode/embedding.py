@@ -9,6 +9,11 @@ matrix M cuts the system in the coordinates i where the trace pairing
 Tr(X_i M) vanishes, and the codeword of M downstream is exactly that trace
 vector.
 
+A flag is looked up by its (point, functional) index pair through
+Gamma.flag_indices.  A normalized member X = sigma(x) * xi has xi as its
+first nonzero row and sigma(x) as its column at the leading 1 of xi;
+class_of finds the flag of x and xi and checks that its image is X.
+
 The span of the system is the full matrix space for sigma != 1 and the
 traceless hyperplane for sigma = 1; build_system asserts this dimension.
 """
@@ -16,13 +21,15 @@ traceless hyperplane for sigma = 1; build_system asserts this dimension.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gamma import Flag, Gamma, build_gamma
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import _rank_upto, dot, pure_tensor, trace_product, vecmat
+from .linalg import (_rank_upto, dot, normalize_rep, pure_tensor,
+                     trace_product, vecmat)
+from .projgeom import class_indices
 
 
 @dataclass(eq=False)
@@ -36,7 +43,6 @@ class ProjectiveSystem:
     mats: np.ndarray            # (N, n+1, n+1) normalized representatives
     flat: np.ndarray            # (N, (n+1)^2) row-major flattening
     span_rank: int
-    index_of: dict = field(repr=False)   # flat bytes -> flag index
 
     @property
     def N(self) -> int:
@@ -57,9 +63,21 @@ class ProjectiveSystem:
 
     def class_of(self, M) -> int | None:
         """Flag index of [M] if M is proportional to a system member."""
-        from .linalg import normalize_rep
         rep, _ = normalize_rep(self.ctx, np.asarray(M))
-        return self.index_of.get(rep.reshape(-1).tobytes())
+        idx = int(self._decode(rep.reshape(1, -1))[0])
+        return None if idx < 0 else idx
+
+    def _decode(self, reps: np.ndarray) -> np.ndarray:
+        """Flag index of each normalized row of reps; -1 off the system."""
+        R = reps.reshape(-1, self.m, self.m)
+        rows = np.arange(len(R))
+        xi = R[rows, (R != 0).any(axis=2).argmax(axis=1)]
+        sx = R[rows, :, (xi != 0).argmax(axis=1)]
+        q = self.ctx.q
+        idx = self.gamma.flag_indices(
+            class_indices(q, self.spec.inv_table[sx]), class_indices(q, xi))
+        return np.where((idx >= 0) & (self.flat[idx] == reps).all(axis=1),
+                        idx, -1)
 
 
 def embed_flag(ctx: FieldCtx, spec: AutSpec, flag: Flag) -> np.ndarray:
@@ -88,30 +106,11 @@ def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     gamma = build_gamma(ctx, n)
     m = n + 1
     N = gamma.N
-    mats = np.zeros((N, m, m), dtype=ctx.dtype)
-    # one outer product per flag: sigma(x)[:,None] * xi[None,:], batched per
-    # functional since flags are functional-major
+    # one outer product sigma(x)[:, None] * xi[None, :] per flag
     sig_pts = spec.table[gamma.points_arr].astype(ctx.dtype)
-    pos = 0
-    for fn in gamma.functionals:
-        hit = gamma.by_functional[fn.index]
-        if hit.size == 0:
-            continue
-        xs = sig_pts[hit]                      # (h, m)
-        xi = np.array(fn.rep, dtype=ctx.dtype)
-        block = ctx.mul_np(xs[:, :, None], xi[None, None, :])
-        mats[pos:pos + hit.size] = block
-        pos += hit.size
-    assert pos == N
+    mats = ctx.mul_np(sig_pts[gamma.point_idx][:, :, None],
+                      gamma.funcs_arr[gamma.func_idx][:, None, :])
     flat = mats.reshape(N, m * m)
-
-    index_of: dict[bytes, int] = {}
-    for i in range(N):
-        key = flat[i].tobytes()
-        if key in index_of:
-            raise AssertionError(f"embedding not injective: flags "
-                                 f"{index_of[key]} and {i} collide")
-        index_of[key] = i
 
     lead_vals = flat[np.arange(N), (flat != 0).argmax(axis=1)]
     assert np.all(lead_vals == 1), "system representatives not normalized"
@@ -120,8 +119,12 @@ def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     expected = m * m if spec.j != 0 else m * m - 1
     if srank != expected:
         raise AssertionError(f"system span rank {srank}, expected {expected}")
-    return ProjectiveSystem(ctx=ctx, spec=spec, n=n, gamma=gamma, mats=mats,
-                            flat=flat, span_rank=srank, index_of=index_of)
+    ps = ProjectiveSystem(ctx=ctx, spec=spec, n=n, gamma=gamma, mats=mats,
+                          flat=flat, span_rank=srank)
+    # decoding every image back to its own flag proves the N images distinct
+    if not np.array_equal(ps._decode(flat), np.arange(N)):
+        raise AssertionError("embedding not injective")
+    return ps
 
 
 def make_system(p: int, t: int, j: int, n: int,

@@ -26,7 +26,8 @@ from .linalg import matmul
 from .projgeom import POINT_CAP, ProjClass, enumerate_pg, line_array
 
 FLAG_CAP = POINT_CAP
-_PAIR_BLOCK = 1 << 22     # booleans per block of the containment test
+_PAIR_BLOCK = 1 << 22     # entries per block of the incidence tests
+FAMILIES = ("point-pencil", "hyperplane-pencil")   # the two line families
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class Flag:
 
 @dataclass(frozen=True)
 class GammaLine:
-    family: str                 # "point-pencil" or "hyperplane-pencil"
+    family: str                 # one of FAMILIES
     flags: tuple[int, ...]      # member flag indices, ascending
 
 
@@ -64,32 +65,46 @@ class Gamma:
         self.points_arr = np.array([p.rep for p in self.points], dtype=ctx.dtype)
         self.funcs_arr = np.array([f.rep for f in self.functionals], dtype=ctx.dtype)
 
-        # incidence, vectorized over points one functional at a time
-        flags: list[Flag] = []
-        by_functional: list[np.ndarray] = []
-        for fn, xi in zip(self.functionals, self.funcs_arr):
-            acc = matmul(ctx, self.points_arr, xi[:, None])[:, 0]
-            hit = np.flatnonzero(acc == 0)
-            by_functional.append(hit.astype(np.int32))
-            for pi in hit:
-                flags.append(Flag(len(flags), self.points[int(pi)], fn))
-        assert len(flags) == expected, (len(flags), expected)
-        self.flags = flags
-        self.by_functional = by_functional
-        self.point_idx = np.array([f.point.index for f in flags], dtype=np.int32)
-        self.func_idx = np.array([f.functional.index for f in flags], dtype=np.int32)
-        self._flag_index = {(f.point.index, f.functional.index): f.index
-                            for f in flags}
-        self._lines: list[GammaLine] | None = None
+        # incidence in blocks of functionals; the nonzero positions of the
+        # F x P test are the sorted keys functional * P + point of the flags
+        P = len(self.points)
+        step = max(1, _PAIR_BLOCK // (P * (n + 1)))
+        self._keys = np.concatenate([np.flatnonzero(
+            matmul(ctx, self.funcs_arr[lo:lo + step], self.points_arr.T) == 0)
+            + lo * P for lo in range(0, len(self.funcs_arr), step)])
+        assert len(self._keys) == expected, (len(self._keys), expected)
+        self.func_idx, self.point_idx = (
+            a.astype(np.int32) for a in np.divmod(self._keys, P))
         self._line_flags: tuple[np.ndarray, int] | None = None
 
     @property
     def N(self) -> int:
-        return len(self.flags)
+        return len(self.func_idx)
+
+    @functools.cached_property
+    def flags(self) -> list[Flag]:
+        """Every flag as a Flag object, in flag order; built on first use."""
+        return [Flag(i, self.points[p], self.functionals[f]) for i, (p, f)
+                in enumerate(zip(self.point_idx.tolist(),
+                                 self.func_idx.tolist()))]
+
+    def flag_indices(self, points, functionals) -> np.ndarray:
+        """Flag index of each (point, functional) index pair; -1 off the flags.
+
+        The two index arrays broadcast against each other like numpy.
+        """
+        p = np.asarray(points, dtype=np.int64)
+        want = np.asarray(functionals, dtype=np.int64) * len(self.points) + p
+        pos = np.searchsorted(self._keys, want).clip(max=self.N - 1)
+        hit = (self._keys[pos] == want) & (p >= 0) & (p < len(self.points))
+        return np.where(hit, pos, -1)
 
     def flag_index(self, point_index: int, functional_index: int) -> int:
         """Flag index of an incident pair; KeyError if not incident."""
-        return self._flag_index[(point_index, functional_index)]
+        idx = int(self.flag_indices(point_index, functional_index))
+        if idx < 0:
+            raise KeyError((point_index, functional_index))
+        return idx
 
     # -- lines -------------------------------------------------------------
 
@@ -108,7 +123,9 @@ class Gamma:
 
         def flag_rows(major, minor, y, xs):
             # flag index of each incident pair (major y[i], minor xs[i, c]);
-            # xs is a fresh array and becomes the search keys in place
+            # xs is a fresh array and becomes the search keys in place; not
+            # flag_indices, whose functional-major keys the point-major
+            # hyperplane pencils would scatter over (about 3x slower)
             keys = major.astype(np.int64) * P + minor
             order = np.argsort(keys, kind="stable")
             xs += y[:, None] * P
@@ -131,12 +148,10 @@ class Gamma:
         return self._line_flags
 
     def lines(self) -> list[GammaLine]:
-        """Both line families, point pencils first; cached after first call."""
-        if self._lines is None:
-            flags, npp = self.line_flags()
-            self._lines = [GammaLine(_family(i, npp), tuple(row))
-                           for i, row in enumerate(flags.tolist())]
-        return self._lines
+        """Both line families as GammaLine objects, point pencils first."""
+        flags, npp = self.line_flags()
+        return [GammaLine(FAMILIES[i >= npp], tuple(row))
+                for i, row in enumerate(flags.tolist())]
 
     def is_geometric_hyperplane(self, flagset) -> tuple[bool, GammaLine | None]:
         """Check the one-or-all property of a flag subset against every line.
@@ -157,7 +172,8 @@ class Gamma:
         offenders = np.flatnonzero((c != 1) & (c != self.ctx.q + 1))
         if offenders.size:
             i = int(offenders[0])
-            return False, GammaLine(_family(i, npp), tuple(flags[i].tolist()))
+            return False, GammaLine(FAMILIES[i >= npp],
+                                    tuple(flags[i].tolist()))
         return True, None
 
 
@@ -179,10 +195,6 @@ def _incident_pairs(inc: np.ndarray, lines: np.ndarray):
     li, y = np.concatenate(ls), np.concatenate(ys)
     order = np.lexsort((li, y))
     return y[order], li[order]
-
-
-def _family(i: int, npp: int) -> str:
-    return "point-pencil" if i < npp else "hyperplane-pencil"
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ import pytest
 from twistcode import (bulk, classify, eval_codeword, make_autspec, make_field,
                        theta, weight_spectrum)
 from twistcode.code import m_bound, random_nonzero_matrix
-from twistcode.linalg import matmul, pure_tensor, rank, scalar_mul
+from twistcode.linalg import pure_tensor, rank, scalar_mul
 from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
@@ -205,19 +205,6 @@ def test_sampled_theta_reproducible():
     assert np.array_equal(a, bb)
     assert not np.array_equal(a, c)
     assert a.min() >= 0 and a.max() <= 7
-
-
-def test_conj_images_is_the_two_sided_product():
-    ps = system(2, 2, 1, 2)
-    ctx = ps.ctx
-    rng = SplitMix64(21)
-    L = random_nonzero_matrix(ctx, 3, rng)
-    Rm = random_nonzero_matrix(ctx, 3, rng)
-    X = ps.mats[:25]
-    got = bulk.conj_images(ctx, L, X, Rm)
-    for i in range(25):
-        want = matmul(ctx, matmul(ctx, L, X[i]), Rm)
-        assert np.array_equal(got[i], want)
 
 
 def test_exhaustive_cap_is_enforced():

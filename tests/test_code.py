@@ -217,6 +217,26 @@ def test_act_is_a_weight_preserving_monomial_action():
     assert rep.kernel_elements_checked == spec.s - 1
 
 
+@pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (2, 3, 1, 2), (3, 2, 1, 2),
+                                 (2, 2, 1, 3), (2, 2, 0, 2)])
+def test_conj_permutation_is_the_two_sided_product(cfg):
+    # the permutation comes from point and functional images; the full
+    # conjugation sigma(g) X_i g^(-1) of every flag matrix is the oracle
+    from twistcode.code import _conj_permutation
+    from twistcode.linalg import invert, matmul, sigma_entrywise
+    ps = system(*cfg)
+    ctx = ps.ctx
+    rng = SplitMix64(sum(cfg))
+    for _ in range(3):
+        g = random_invertible(ctx, ps.m, rng)
+        imgs = matmul(ctx, matmul(ctx, sigma_entrywise(ctx, ps.spec, g),
+                                  ps.mats), invert(ctx, g))
+        perm, lam = _conj_permutation(ps, g)
+        assert sorted(perm.tolist()) == list(range(ps.N))
+        assert np.array_equal(imgs, ctx.mul_np(lam[:, None, None],
+                                               ps.mats[perm]))
+
+
 def test_line_bound_attained_by_the_identity():
     ps = system(2, 2, 1, 2)
     res = line_solution_bound(ps, np.eye(3, dtype=ps.ctx.dtype))

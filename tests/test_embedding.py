@@ -5,7 +5,7 @@ import pytest
 
 from twistcode import embed_flag, make_autspec, make_field, make_system
 from twistcode.embedding import saturation_membership
-from twistcode.linalg import rank
+from twistcode.linalg import rank, scalar_mul
 
 import naive_ref
 from helpers import golden, prime_power, system
@@ -37,9 +37,22 @@ def test_span_ranks():
 
 def test_embedding_is_injective():
     ps = system(2, 2, 1, 2)
-    assert len(ps.index_of) == ps.N
+    ctx = ps.ctx
     for i, fl in enumerate(ps.gamma.flags):
         assert ps.class_of(ps.mats[i]) == i == fl.index
+    # a scalar multiple of a member is the same class
+    assert ps.class_of(scalar_mul(ctx, 3, ps.mats[5])) == 5
+    # rank 1, but the point (1,0,0) is not on the hyperplane xi = (1,0,0)
+    E11 = np.zeros((3, 3), dtype=ctx.dtype)
+    E11[0, 0] = 1
+    assert ps.class_of(E11) is None
+    # rank 2, with the first row and leading column of member i intact
+    i = next(i for i in range(ps.N) if ps.mats[i][0].any())
+    X = ps.mats[i].copy()
+    c = (int(np.flatnonzero(X[0])[0]) + 1) % 3
+    X[1, c] = ctx.add(int(X[1, c]), 1)
+    assert rank(ctx, X) == 2
+    assert ps.class_of(X) is None
 
 
 def test_members_are_rank_one_tensors():

@@ -35,6 +35,35 @@ def test_flag_order_is_functional_major_and_matches_naive():
             assert (np.diff(pts) > 0).all()
 
 
+def test_flag_indices_match_a_dict_of_the_flags():
+    for q, n in [(4, 2), (8, 1)]:
+        g = build_gamma(make_field(*prime_power(q)), n)
+        want = {(fl.point.index, fl.functional.index): fl.index
+                for fl in g.flags}
+        P, F = len(g.points), len(g.functionals)
+        got = g.flag_indices(np.arange(P)[:, None], np.arange(F)[None, :])
+        assert got.tolist() == [[want.get((p, f), -1) for f in range(F)]
+                                for p in range(P)]
+        for (p, f), i in list(want.items())[::7]:
+            assert g.flag_index(p, f) == i
+        # the out-of-range point P has the key of the flag (0, 1)
+        assert (0, 1) in want and g.flag_indices(P, 0) == -1
+        bad = next((p, f) for p in range(P) for f in range(F)
+                   if (p, f) not in want)
+        with pytest.raises(KeyError):
+            g.flag_index(*bad)
+
+
+def test_a_fresh_gamma_builds_no_flag_objects():
+    # the Flag list is built on first access only, and neither the line
+    # arrays nor the hyperplane test ask for it
+    from twistcode.gamma import Gamma
+    g = Gamma(make_field(3, 2), 3)
+    assert "flags" not in g.__dict__
+    assert not g.is_geometric_hyperplane(range(10))[0]
+    assert "flags" not in g.__dict__
+
+
 def test_every_flag_is_incident():
     ctx = make_field(2, 2)
     g = build_gamma(ctx, 2)
