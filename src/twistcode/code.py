@@ -462,10 +462,13 @@ def second_weight_check(sys: ProjectiveSystem,
 
 def act(ctx: FieldCtx, spec: AutSpec, g, M) -> np.ndarray:
     """Action g^(-1) M sigma(g) of an invertible g on the matrix space."""
-    g = as_matrix(ctx, g)
-    M = as_matrix(ctx, M)
-    gi = invert(ctx, g)
-    return matmul(ctx, matmul(ctx, gi, M), sigma_entrywise(ctx, spec, g))
+    g, M = as_matrix(ctx, g), as_matrix(ctx, M)
+    return _act(ctx, invert(ctx, g), sigma_entrywise(ctx, spec, g), M)
+
+
+def _act(ctx: FieldCtx, gi, sg, M) -> np.ndarray:
+    """act with gi = g^(-1) and sg = sigma(g), for a g that acts repeatedly."""
+    return matmul(ctx, matmul(ctx, gi, M), sg)
 
 
 def random_nonzero_matrix(ctx: FieldCtx, m: int, rng: SplitMix64) -> np.ndarray:
@@ -483,8 +486,8 @@ def random_invertible(ctx: FieldCtx, m: int, rng: SplitMix64) -> np.ndarray:
             return A
 
 
-def _conj_permutation(sys: ProjectiveSystem, g):
-    """pi and lambda with sigma(g) X_i g^(-1) = lambda_i X_pi(i).
+def _conj_permutation(sys: ProjectiveSystem, g, gi):
+    """pi and lambda with sigma(g) X_i g^(-1) = lambda_i X_pi(i); gi = g^(-1).
 
     X_i = sigma(x_i) xi_i has rank 1, so its image is sigma(g x_i) times
     xi_i g^(-1).  With g x_i = c y and xi_i g^(-1) = b z, y and z
@@ -499,7 +502,7 @@ def _conj_permutation(sys: ProjectiveSystem, g):
         return lead, class_indices(ctx.q, reps)
 
     c, pidx = classes(matmul(ctx, gamma.points_arr, g.T))
-    b, fidx = classes(matmul(ctx, gamma.funcs_arr, invert(ctx, g)))
+    b, fidx = classes(matmul(ctx, gamma.funcs_arr, gi))
     perm = gamma.flag_indices(pidx[gamma.point_idx], fidx[gamma.func_idx])
     assert (perm >= 0).all(), "conjugation moved a flag off the geometry"
     lam = ctx.mul_np(sys.spec.table[c][gamma.point_idx], b[gamma.func_idx])
@@ -525,12 +528,13 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
     for _ in range(trials):
         g = random_invertible(ctx, m, rng)
         M = random_nonzero_matrix(ctx, m, rng)
-        Y = act(ctx, spec, g, M)
+        gi = invert(ctx, g)
+        Y = _act(ctx, gi, sigma_entrywise(ctx, spec, g), M)
         cM = eval_codeword(sys, M)
         cY = eval_codeword(sys, Y)
         if cY.weight != cM.weight:
             weight_failures += 1
-        perm, lam = _conj_permutation(sys, g)
+        perm, lam = _conj_permutation(sys, g, gi)
         expected = ctx.mul_np(lam, cM.values[perm]).astype(ctx.dtype)
         if not np.array_equal(cY.values, expected):
             perm_failures += 1
@@ -540,9 +544,10 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
     kernel_ok = True
     for alpha in fixed_scalars:
         gI = scalar_mul(ctx, alpha, np.eye(m, dtype=ctx.dtype))
+        gi, sg = invert(ctx, gI), sigma_entrywise(ctx, spec, gI)
         for _ in range(4):
             M = random_nonzero_matrix(ctx, m, rng)
-            Y = act(ctx, spec, gI, M)
+            Y = _act(ctx, gi, sg, M)
             if not np.array_equal(Y, M.astype(ctx.dtype)):
                 kernel_ok = False
             if not np.array_equal(eval_codeword(sys, Y).values,
@@ -558,18 +563,13 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
         if scal and spec.tlist[alpha] == alpha:
             continue
         probes += 1
+        gi, sg = invert(ctx, g), sigma_entrywise(ctx, spec, g)
         moved = False
-        for a in range(m):
-            for bcol in range(m):
-                E = np.zeros((m, m), dtype=ctx.dtype)
-                E[a, bcol] = 1
-                Y = act(ctx, spec, g, E)
-                if not np.array_equal(Y, E):
-                    if not np.array_equal(eval_codeword(sys, Y).values,
-                                          eval_codeword(sys, E).values):
-                        moved = True
-                        break
-            if moved:
+        for E in np.eye(m * m, dtype=ctx.dtype).reshape(-1, m, m):
+            Y = _act(ctx, gi, sg, E)
+            if not np.array_equal(Y, E) and not np.array_equal(
+                    eval_codeword(sys, Y).values, eval_codeword(sys, E).values):
+                moved = True
                 break
         if not moved:
             moved_all = False

@@ -10,8 +10,8 @@ rank-<=1 matrix x * xi.
 Every product goes through `matmul`, one broadcast gather through the
 FieldCtx array operations (mul_np, then sum_np over the shared axis), so
 it works at every q.  Elimination stays scalar, on lists of ints, except
-rank_batch, which takes the ranks of a whole stack of matrices through the
-same array operations.  Scalar elimination is deterministic: reduced row
+rank_batch, which ranks a stack by the same array operations and picks its
+pivots with np.where.  Scalar elimination is deterministic: reduced row
 echelon form with the topmost row supplying each pivot, pivots normalized
 to 1, full reduction above and below.  Everything downstream that promises
 byte-identical output relies on this.
@@ -198,25 +198,26 @@ def rank_batch(ctx: FieldCtx, A) -> np.ndarray:
     row that is nonzero in the column is the pivot row, and -a/pivot times
     it is added to each row with entry a there.  That clears the column and
     zeroes the pivot row itself, which has been counted and so leaves the
-    matrix.  Without a pivot the factors are inv(0) = 0 and nothing
-    changes.  The stack axis is moved last, as in matmul.  Returns int8
-    ranks.
+    matrix; without a pivot the factors are inv(0) = 0.  The stack axis is
+    last, as in matmul, and a where-cascade up the rows reads the pivot
+    row, so every step runs along contiguous memory, with no argmax and no
+    gather by row index.  Returns int8 ranks, zeros if r or c is 0.
     """
     A = np.array(np.moveaxis(np.asarray(A), 0, -1), dtype=ctx.dtype,
                  order="C")                                 # (r, c, B)
     nr, nc, B = A.shape
-    cols = np.arange(B)
     out = np.zeros(B, dtype=np.int8)
-    for c in range(nc - 1):
-        col = A[:, c]
-        p = (col != 0).argmax(axis=0)
-        pv = col[p, cols]
-        out += pv != 0
-        f = ctx.mul_np(col, ctx.neg_table[ctx.inv_table[pv]])
-        rest = A[:, c + 1:]
-        rest[...] = ctx.add_np(
-            rest, ctx.mul_np(f[:, None], rest[p, :, cols].T[None]))
-    out += A[:, nc - 1].any(axis=0)
+    if nr == 0:
+        return out
+    for c in range(nc):
+        piv = A[nr - 1, c:]
+        for i in range(nr - 2, -1, -1):
+            piv = np.where(A[i, c] != 0, A[i, c:], piv)
+        out += piv[0] != 0
+        if c + 1 < nc:
+            f = ctx.mul_np(A[:, c], ctx.neg_table[ctx.inv_table[piv[0]]])
+            A[:, c + 1:] = ctx.add_np(A[:, c + 1:],
+                                      ctx.mul_np(f[:, None], piv[None, 1:]))
     return out
 
 

@@ -53,6 +53,20 @@ def test_theta_descent_matches_theta_batch_exhaustively(cfg):
     assert ranks.tolist() == [rank(ps.ctx, M) for M in R.reshape(-1, ps.m, ps.m)]
 
 
+@pytest.mark.parametrize("cfg", [(2, 3, 1, 2), (3, 2, 1, 2)])
+def test_theta_descent_matches_theta_batch_across_slices(cfg):
+    # three full slices and a partial one, from the middle of the order
+    ps = system(*cfg)
+    start = num_classes(ps.ctx.q, ps.k) // 2
+    R = class_reps_range(ps.ctx.q, ps.k, start, start + 3 * bulk._SLICE + 17,
+                         dtype=ps.ctx.dtype)
+    want, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
+    got, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
+    assert np.array_equal(got, want)
+    assert ranks.tolist() == [rank(ps.ctx, M) for M in R.reshape(-1, ps.m, ps.m)]
+    assert {2, 3} <= set(ranks.tolist())
+
+
 @pytest.mark.parametrize("q,j,m,count,extra", [
     (8, 1, 3, 40, 5), (8, 2, 3, 40, 5), (27, 1, 3, 2, 2), (9, 1, 4, 4, 2),
     (64, 1, 2, 10, 5)])

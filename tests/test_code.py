@@ -231,7 +231,7 @@ def test_conj_permutation_is_the_two_sided_product(cfg):
         g = random_invertible(ctx, ps.m, rng)
         imgs = matmul(ctx, matmul(ctx, sigma_entrywise(ctx, ps.spec, g),
                                   ps.mats), invert(ctx, g))
-        perm, lam = _conj_permutation(ps, g)
+        perm, lam = _conj_permutation(ps, g, invert(ctx, g))
         assert sorted(perm.tolist()) == list(range(ps.N))
         assert np.array_equal(imgs, ctx.mul_np(lam[:, None, None],
                                                ps.mats[perm]))

@@ -30,7 +30,7 @@ def test_rank_matches_naive():
             assert rank(ctx, A) == naive_ref.naive_rank(nf, A.tolist())
 
 
-@pytest.mark.parametrize("q", [4, 9, 2048])
+@pytest.mark.parametrize("q", [4, 9, 2048, 2187])
 def test_rank_batch_matches_rank(q):
     ctx = make_field(*prime_power(q))
     rng = SplitMix64(q)
@@ -44,6 +44,26 @@ def test_rank_batch_matches_rank(q):
         want = [rank(ctx, M) for M in A]
         assert rank_batch(ctx, A).tolist() == want
         assert {0, m - 1, m} <= set(want)
+
+
+def test_rank_batch_on_non_square_and_empty_stacks():
+    ctx = make_field(3, 2)
+    rng = SplitMix64(11)
+    for r, c in [(1, 3), (3, 1), (2, 4), (4, 2), (5, 3)]:
+        A = np.array(rng.elements(ctx.q, 40 * r * c),
+                     dtype=ctx.dtype).reshape(40, r, c)
+        A[:4] = 0                               # zero matrices
+        A[4:12, -1] = A[4:12, 0]                # repeated row
+        A[12:24] = A[12:24] % 2                 # sparse 0/1 entries
+        want = [rank(ctx, M) for M in A]
+        assert rank_batch(ctx, A).tolist() == want
+        assert {0, min(r, c)} <= set(want)
+    # no matrices, no rows, no columns: rank 0 as linalg.rank gives it
+    for shape in [(0, 3, 3), (4, 0, 3), (4, 3, 0), (0, 0, 0)]:
+        A = np.zeros(shape, dtype=ctx.dtype)
+        got = rank_batch(ctx, A)
+        assert got.dtype == np.int8
+        assert got.tolist() == [rank(ctx, M) for M in A]
 
 
 def test_row_echelon_pivots_are_leading_ones():
