@@ -41,7 +41,8 @@ def class_reps_range(q: int, k: int, start: int, stop: int,
 
     Row layout: zeros, then the leading 1 at position lead, then the tail
     digits of the local index in base q, most significant digit first (that
-    is what makes the order lexicographic).
+    is what makes the order lexicographic).  The digits are peeled off by
+    divmod from the least significant end, in uint32 while q^tail < 2^32.
     """
     total = num_classes(q, k)
     if not 0 <= start <= stop <= total:
@@ -55,11 +56,13 @@ def class_reps_range(q: int, k: int, start: int, stop: int,
         hi = min(stop, block_hi)
         if lo >= hi:
             continue
-        local = np.arange(lo - block_lo, hi - block_lo, dtype=np.int64)
+        wide = q ** tail_len >= 1 << 32
+        local = np.arange(lo - block_lo, hi - block_lo,
+                          dtype=np.int64 if wide else np.uint32)
         seg = out[lo - start:hi - start]
         seg[:, lead] = 1
-        for m in range(tail_len):
-            seg[:, lead + 1 + m] = (local // q ** (tail_len - 1 - m)) % q
+        for col in range(k - 1, lead, -1):
+            local, seg[:, col] = np.divmod(local, q)
     return out
 
 

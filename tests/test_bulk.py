@@ -11,7 +11,7 @@ from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
 import naive_ref
-from helpers import prime_power, system
+from helpers import golden, prime_power, system
 
 
 def _batch(ps, count, seed):
@@ -55,10 +55,12 @@ def test_theta_descent_matches_theta_batch_exhaustively(cfg):
 
 @pytest.mark.parametrize("cfg", [(2, 3, 1, 2), (3, 2, 1, 2)])
 def test_theta_descent_matches_theta_batch_across_slices(cfg):
-    # three full slices and a partial one, from the middle of the order
+    # three full slices and a partial one, from the middle of the order;
+    # p = 2 runs on bit planes, with slices of their own size
     ps = system(*cfg)
+    step = bulk._PLANE_SLICE if ps.ctx.p == 2 else bulk._SLICE
     start = num_classes(ps.ctx.q, ps.k) // 2
-    R = class_reps_range(ps.ctx.q, ps.k, start, start + 3 * bulk._SLICE + 17,
+    R = class_reps_range(ps.ctx.q, ps.k, start, start + 3 * step + 17,
                          dtype=ps.ctx.dtype)
     want, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
     got, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
@@ -87,6 +89,57 @@ def test_theta_descent_matches_naive_beyond_involutions(q, j, m, count, extra):
     for M, th, r in zip(mats, got.tolist(), ranks.tolist()):
         assert th == naive_ref.naive_theta(nf, j, M.tolist()), M.tolist()
         assert r == rank(ctx, M)
+
+
+def _order_slice(ctx, k, where, count):
+    """count rows of the class order from its start, middle or end; an
+    order shorter than count is repeated."""
+    total = num_classes(ctx.q, k)
+    if count > total:
+        whole = class_reps_range(ctx.q, k, 0, total, dtype=ctx.dtype)
+        return whole[np.arange(count) % total]
+    start = {"start": 0, "middle": (total - count) // 2, "end": total - count}[where]
+    return class_reps_range(ctx.q, k, start, start + count, dtype=ctx.dtype)
+
+
+@pytest.mark.parametrize("cfg", [(2, 1, 0, 1), (2, 2, 1, 2), (2, 2, 0, 2),
+                                 (2, 3, 1, 2), (2, 4, 2, 1), (2, 4, 0, 1),
+                                 (2, 2, 1, 3), (2, 6, 1, 1), (2, 11, 1, 1)])
+def test_plane_kernel_matches_the_byte_kernel(cfg, monkeypatch):
+    # the byte kernel, which serves odd p, is the oracle of the bit planes;
+    # lengths around one word and past one slice expose padding and seams
+    p, t, j, n = cfg
+    ctx = make_field(p, t)
+    spec = make_autspec(ctx, j)
+    k = (n + 1) ** 2
+    for count in (0, 1, 63, 64, 65, bulk._PLANE_SLICE + 17):
+        for where in ("start", "middle", "end"):
+            R = _order_slice(ctx, k, where, count)
+            got = bulk.theta_descent(ctx, spec, R)
+            with monkeypatch.context() as mp:
+                mp.setattr(bulk, "_descent_planes", bulk._descent_bytes)
+                want = bulk.theta_descent(ctx, spec, R)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape == (count,)
+                assert g.dtype == w.dtype
+                assert np.array_equal(g, w), (count, where)
+
+
+def test_theta_descent_dispatches_on_the_characteristic(monkeypatch):
+    def byte_kernel(*args):
+        raise AssertionError("byte kernel reached")
+
+    monkeypatch.setattr(bulk, "_descent_bytes", byte_kernel)
+    table = weight_spectrum(system(2, 2, 1, 2))
+    assert table.counts == {int(w): c for w, c in
+                            golden("spectrum_4_2_1")["counts"].items()}
+    ps = system(2, 11, 1, 1)        # q = 2048
+    got = bulk.sampled_theta(ps.cfg, 12, seed=5)
+    rng = SplitMix64(5)
+    for th in got.tolist():
+        assert theta(ps, random_nonzero_matrix(ps.ctx, ps.m, rng)).theta == th
+    with pytest.raises(AssertionError, match="byte kernel reached"):
+        bulk.sampled_theta(system(3, 2, 1, 2).cfg, 4, seed=1)
 
 
 def test_sampled_theta_beyond_the_table_fields():
