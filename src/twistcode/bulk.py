@@ -8,6 +8,7 @@ exhaustive or sampled spectrum at q = 2^t.  Odd p runs on bytes
 (linalg.matmul and linalg.rank_batch), the planes' oracle in the tests.
 At (8, 2, 1) the planes take 55 ns per class against 435 on bytes; they
 were faster at every t from 1 to 16 tried, so no cutoff in t applies.
+The minimality sweep ranks each codeword's zero rows with subset_ranks.
 
 fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
 (kept for the solution masks of min_weight_sweep) runs it on stacks,
@@ -30,7 +31,7 @@ import numpy as np
 
 from .embedding import build_system
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import _rank_upto, matmul, plane_matmul, plane_rank, rank_batch
+from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
 from .projgeom import class_reps_range, line_array
 from .rng import SplitMix64
 
@@ -68,7 +69,6 @@ class _Bundle:
         self.lead = [next(i for i, e in enumerate(f.rep) if e)
                      for f in g.functionals]
         self.N = sys_.N
-        self.flat_rows = [tuple(map(int, r)) for r in sys_.flat.tolist()]
         q = self.q
         self.base = (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
         self.qn1 = q ** (n - 1)
@@ -267,14 +267,13 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     out: dict = {"start": start, "stop": stop, "classes": stop - start}
 
     if opts["kind"] == "minimality":
-        _, mask = zero_counts_batch(b, R, full_mask=True)
-        target = b.k - 1
-        rows = b.flat_rows.__getitem__
+        # zero rows of rank k - 1 per class, in slices: no (len(R), N) mask
+        step = max(1, _PRODUCTS // b.N)
         bad = []
-        for bi in range(R.shape[0]):
-            zero_rows = map(rows, np.flatnonzero(mask[bi]).tolist())
-            if _rank_upto(b.ctx, zero_rows, b.k, target) < target:
-                bad.append(start + bi)
+        for a in range(0, R.shape[0], step):
+            _, mask = zero_counts_batch(b, R[a:a + step], full_mask=True)
+            ranks = subset_ranks(b.ctx, b.sys.flat, mask, b.k - 1)
+            bad += (start + a + np.flatnonzero(ranks < b.k - 1)).tolist()
         out["bad"] = bad[:16]
         out["bad_count"] = len(bad)
         return out

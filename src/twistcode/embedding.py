@@ -27,7 +27,7 @@ import numpy as np
 
 from .gamma import Flag, Gamma, build_gamma
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import (_rank_upto, dot, normalize_rep, pure_tensor,
+from .linalg import (dot, normalize_rep, pure_tensor, subset_ranks,
                      trace_product, vecmat)
 from .projgeom import class_indices
 
@@ -115,16 +115,27 @@ def build_system(ctx: FieldCtx, spec: AutSpec, n: int) -> ProjectiveSystem:
     lead_vals = flat[np.arange(N), (flat != 0).argmax(axis=1)]
     assert np.all(lead_vals == 1), "system representatives not normalized"
 
-    srank = _rank_upto(ctx, map(np.ndarray.tolist, flat), m * m, m * m)
-    expected = m * m if spec.j != 0 else m * m - 1
-    if srank != expected:
-        raise AssertionError(f"system span rank {srank}, expected {expected}")
     ps = ProjectiveSystem(ctx=ctx, spec=spec, n=n, gamma=gamma, mats=mats,
-                          flat=flat, span_rank=srank)
+                          flat=flat, span_rank=_span_rank(ctx, spec, mats))
     # decoding every image back to its own flag proves the N images distinct
     if not np.array_equal(ps._decode(flat), np.arange(N)):
         raise AssertionError("embedding not injective")
     return ps
+
+
+def _span_rank(ctx: FieldCtx, spec: AutSpec, mats: np.ndarray) -> int:
+    """Rank of the members, asserted k, or k - 1 at sigma = 1: there each
+    x xi has trace xi(x) = 0, checked here, so a rank capped at k - 1 is exact.
+    """
+    N, m, _ = mats.shape
+    expected = m * m if spec.j != 0 else m * m - 1
+    if spec.j == 0 and ctx.sum_np(mats.diagonal(0, 1, 2), axis=1).any():
+        raise AssertionError("a sigma = 1 system member has nonzero trace")
+    flat = mats.reshape(N, m * m)
+    srank = int(subset_ranks(ctx, flat, np.ones((1, N), bool), expected)[0])
+    if srank != expected:
+        raise AssertionError(f"system span rank {srank}, expected {expected}")
+    return srank
 
 
 def make_system(p: int, t: int, j: int, n: int,

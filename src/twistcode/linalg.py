@@ -11,12 +11,12 @@ Every product of encoded arrays goes through `matmul`, one broadcast
 gather through the FieldCtx array operations (mul_np, then sum_np over
 the shared axis), so it works at every q.  Elimination stays scalar, on
 lists of ints, except rank_batch, which ranks a stack by the same array
-operations and picks its pivots with np.where.  plane_matmul and
-plane_rank do the same on the p = 2 bit planes of gf.Planes.  Scalar
-elimination is deterministic: reduced row echelon form with the topmost
-row supplying each pivot, pivots normalized to 1, full reduction above
-and below.  Everything downstream that promises byte-identical output
-relies on this.
+operations and picks its pivots with np.where, and subset_ranks, which
+ranks sets of rows through it.  plane_matmul and plane_rank do the same
+on the p = 2 bit planes of gf.Planes.  Scalar elimination (_rref) is
+deterministic: reduced row echelon form with the topmost row supplying
+each pivot, pivots normalized to 1, full reduction above and below.
+Everything downstream that promises byte-identical output relies on this.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import AutSpec, FieldCtx, Planes
+from .rng import SplitMix64
+
+_PREFIX_ROWS = 12   # rows per set in the first round of subset_ranks
 
 
 def as_matrix(ctx: FieldCtx, data, square: int | None = None) -> np.ndarray:
@@ -154,45 +157,6 @@ def _rref(ctx: FieldCtx, rows: list[list[int]], ncols: int) -> list[int]:
     return pivots
 
 
-def _rank_upto(ctx: FieldCtx, rows, ncols: int, stop: int) -> int:
-    """Incremental rank of an iterable of int rows, min(rank, stop).
-
-    Each row is copied, reduced against the pivots found so far and, if
-    anything is left, scaled to a leading 1 and kept as the pivot of that
-    column.  A pivot row is zero left of its pivot, so scaling and
-    elimination start at the pivot column.  Returns as soon as `stop`
-    pivots are found.
-    """
-    add, mul, inv, neg = ctx.add, ctx.mul, ctx.inv, ctx.neg
-    pivots: dict[int, list[int]] = {}
-    npiv = 0
-    for raw in rows:
-        row = list(raw)
-        c = 0
-        while c < ncols:
-            v = row[c]
-            if v:
-                piv = pivots.get(c)
-                if piv is None:
-                    if v != 1:
-                        f = inv(v)
-                        for cc in range(c, ncols):
-                            if row[cc]:
-                                row[cc] = mul(f, row[cc])
-                    pivots[c] = row
-                    npiv += 1
-                    if npiv >= stop:
-                        return stop
-                    break
-                nc = neg(v)
-                for cc in range(c, ncols):
-                    pv = piv[cc]
-                    if pv:
-                        row[cc] = add(row[cc], mul(nc, pv))
-            c += 1
-    return npiv
-
-
 def rank_batch(ctx: FieldCtx, A) -> np.ndarray:
     """Ranks of a (B, r, c) stack of matrices, zero matrices included; any q.
 
@@ -220,6 +184,34 @@ def rank_batch(ctx: FieldCtx, A) -> np.ndarray:
             f = ctx.mul_np(A[:, c], ctx.neg_inv_table.take(piv[0]))
             A[:, c + 1:] = ctx.add_np(A[:, c + 1:],
                                       ctx.mul_np(f[:, None], piv[None, 1:]))
+    return out
+
+
+def subset_ranks(ctx: FieldCtx, A, mask, target: int) -> np.ndarray:
+    """min(rank of the rows A[mask[b]], target) for each row of a (B, N) mask.
+
+    Rows go in a fixed spread order, the argsort of N SplitMix64(0x5EED)
+    words; flag rows come functional-major, whose short prefixes are
+    rank-deficient.  Each set's first K rows (a cumsum select) go to
+    rank_batch as one zero-padded stack, K from _PREFIX_ROWS doubling for
+    the sets still open.  A set closes at target or once K covers its
+    rows, so the answer depends on neither K nor the order.
+    """
+    order = np.argsort(SplitMix64(0x5EED).words(mask.shape[1]))
+    mask = mask[:, order]
+    counts = mask.sum(axis=1)
+    out = np.zeros(len(mask), dtype=np.int8)
+    live = np.arange(len(mask))
+    K = _PREFIX_ROWS
+    while live.size:
+        sub = mask[live]
+        pos = np.cumsum(sub, axis=1, dtype=np.int32)
+        b, n = np.nonzero(sub & (pos <= K))
+        stack = np.zeros((len(live), K, A.shape[1]), dtype=A.dtype)
+        stack[b, pos[b, n] - 1] = A[order[n]]
+        out[live] = np.minimum(rank_batch(ctx, stack), target)
+        live = live[(out[live] < target) & (counts[live] > K)]
+        K *= 2
     return out
 
 
@@ -271,10 +263,7 @@ def row_echelon(ctx: FieldCtx, A) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def rank(ctx: FieldCtx, A) -> int:
-    A = np.asarray(A)
-    if A.size == 0:
-        return 0
-    return _rank_upto(ctx, A.tolist(), A.shape[1], min(A.shape))
+    return len(_rref(ctx, np.asarray(A).tolist(), np.shape(A)[1]))
 
 
 def invert(ctx: FieldCtx, A) -> np.ndarray:

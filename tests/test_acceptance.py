@@ -134,7 +134,7 @@ def test_criterion_06_two_lightest_weights_octal():
 def test_criterion_07_minimality():
     t0 = time.perf_counter()
     rep = tc.is_minimal(system(2, 2, 1, 2), threads=1)
-    assert rep.minimal is True
+    assert rep.minimal is True and rep.witness is None
     assert rep.classes_checked == 87_381
     _verdict(7, "minimal code, 87381 hyperplanes", time.perf_counter() - t0)
 

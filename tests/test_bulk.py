@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from twistcode import (bulk, classify, eval_codeword, make_autspec, make_field,
-                       theta, weight_spectrum)
+from twistcode import (bulk, classify, eval_codeword, linalg, make_autspec,
+                       make_field, theta, weight_spectrum)
 from twistcode.code import m_bound, random_nonzero_matrix
 from twistcode.linalg import pure_tensor, rank, scalar_mul
 from twistcode.projgeom import class_reps_range, num_classes
@@ -178,6 +178,31 @@ def test_zero_counts_batch_matches_codewords(cfg):
         cw = eval_codeword(ps, row.reshape(ps.m, ps.m))
         assert ps.N - cw.weight == z
         assert np.array_equal(cw.values == 0, mk)
+
+
+@pytest.mark.parametrize("cfg, start, stop", [
+    ((2, 2, 1, 2), 43000, 43300),   # (4, 2): minimal, on a class slice
+    ((2, 2, 1, 1), 0, None),        # n = 1: not minimal, all classes
+    ((3, 2, 1, 1), 0, None),
+    ((2, 3, 1, 1), 0, None)])
+def test_minimality_certificate_matches_naive_rank(cfg, start, stop,
+                                                   monkeypatch):
+    # a first prefix of one row sends the classes through several doublings
+    monkeypatch.setattr(linalg, "_PREFIX_ROWS", 1)
+    ps = system(*cfg)
+    b = bulk._bundle(ps.cfg)
+    nf = naive_ref.make_naive(ps.ctx.q)
+    stop = stop or num_classes(ps.ctx.q, ps.k)
+    R = class_reps_range(ps.ctx.q, ps.k, start, stop, dtype=ps.ctx.dtype)
+    _, mask = bulk.zero_counts_batch(b, R, full_mask=True)
+    got = linalg.subset_ranks(ps.ctx, ps.flat, mask, ps.k - 1)
+    want = [naive_ref.naive_rank(nf, ps.flat[mk].tolist()) if mk.any() else 0
+            for mk in mask]
+    assert got.tolist() == want
+    bad = [start + i for i, r in enumerate(want) if r < ps.k - 1]
+    assert (not bad) == (ps.n == 2)
+    res = bulk.sweep_chunk(ps.cfg, {"kind": "minimality"}, start, stop)
+    assert res["bad_count"] == len(bad) and res["bad"] == bad[:16]
 
 
 def test_rank3_batch_matches_rank():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistcode import embed_flag, make_autspec, make_field, make_system
-from twistcode.embedding import saturation_membership
+from twistcode.embedding import _span_rank, saturation_membership
 from twistcode.linalg import rank, scalar_mul
 
 import naive_ref
@@ -33,6 +33,28 @@ def test_span_ranks():
     assert system(2, 2, 0, 2).span_rank == 8     # identity twist drops one
     assert system(2, 2, 1, 3).span_rank == 16
     assert system(3, 2, 1, 2).span_rank == 9
+    # sigma = 1 at odd p and at n = 3: the traceless hyperplane
+    for cfg, want in [((3, 2, 0, 2), 8), ((2, 2, 0, 3), 15)]:
+        ps = system(*cfg)
+        nf = naive_ref.make_naive(ps.ctx.q)
+        assert ps.span_rank == want
+        assert naive_ref.naive_rank(nf, ps.flat.tolist()) == want
+
+
+def test_span_check_at_sigma_one_needs_the_traces():
+    ps = system(2, 2, 0, 2)
+    assert _span_rank(ps.ctx, ps.spec, ps.mats) == 8
+    # one member replaced by E11, rank 1 with trace 1: the members then
+    # span all 9 dimensions, which a rank capped at k - 1 = 8 would not see
+    mats = ps.mats.copy()
+    mats[0] = 0
+    mats[0, 0, 0] = 1
+    assert rank(ps.ctx, mats.reshape(ps.N, 9)) == 9
+    with pytest.raises(AssertionError, match="nonzero trace"):
+        _span_rank(ps.ctx, ps.spec, mats)
+    ps = system(2, 2, 1, 2)         # too few members for the full span
+    with pytest.raises(AssertionError, match="span rank 2, expected 9"):
+        _span_rank(ps.ctx, ps.spec, ps.mats[:5])
 
 
 def test_embedding_is_injective():

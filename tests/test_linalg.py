@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistcode import make_autspec, make_field
+from twistcode import linalg, make_autspec, make_field
 from twistcode.linalg import (as_matrix, dot, invert, left_kernel, matmul,
                               normalize_rep, plane_matmul, plane_rank, pure_tensor,
                               rank, rank1_factor, rank_batch, row_echelon,
-                              sigma_entrywise, trace_product, vecmat)
+                              sigma_entrywise, subset_ranks, trace_product,
+                              vecmat)
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -20,14 +21,44 @@ def _random_matrix(ctx, m, rng):
     return np.array(rng.elements(ctx.q, m * m), dtype=ctx.dtype).reshape(m, m)
 
 
+def _random_rect(ctx, r, c, rng):
+    return np.array(rng.elements(ctx.q, r * c), dtype=ctx.dtype).reshape(r, c)
+
+
 def test_rank_matches_naive():
-    for q in [4, 8, 9]:
+    for q in [4, 8, 9, 2048]:
         ctx = make_field(*prime_power(q))
-        nf = naive_ref.make_naive(q)
+        nf = naive_ref.NaiveGF(ctx.p, ctx.t, ctx.modulus)
         rng = SplitMix64(q)
-        for _ in range(60):
-            A = _random_matrix(ctx, 3, rng)
+        count = 60 if q < 64 else 4     # the naive inverse scans GF(q)
+        mats = [_random_matrix(ctx, 3, rng) for _ in range(count)]
+        F = (q ** 3 - 1) // (q - 1) if q < 64 else 40     # tall: F x m
+        mats += [_random_rect(ctx, F, 3, rng),
+                 matmul(ctx, _random_rect(ctx, F, 2, rng),
+                        _random_rect(ctx, 2, 4, rng)),    # rank <= 2
+                 _random_rect(ctx, 2, 4, rng), _random_rect(ctx, 1, 3, rng),
+                 np.zeros((3, 3), dtype=ctx.dtype),
+                 np.zeros((2, 5), dtype=ctx.dtype)]
+        for A in mats:
             assert rank(ctx, A) == naive_ref.naive_rank(nf, A.tolist())
+
+
+def test_subset_ranks_edge_cases(monkeypatch):
+    monkeypatch.setattr(linalg, "_PREFIX_ROWS", 1)
+    ctx = make_field(3, 2)
+    rng = SplitMix64(13)
+    A = _random_rect(ctx, 12, 4, rng)
+    A[6:] = A[0]                    # a block of repeats: rank 1
+    assert subset_ranks(ctx, A, np.zeros((0, 12), bool), 3).tolist() == []
+    mask = np.zeros((5, 12), dtype=bool)
+    mask[1] = True                  # every row: rank 4, capped at the target
+    mask[2, 6:] = True              # the block
+    mask[3, [0, 6]] = True          # a row and its repeat
+    mask[4, ::3] = True
+    for target in (2, 3, 4, 6):     # 6 is above every true rank
+        want = [min(rank(ctx, A[mk]), target) for mk in mask]
+        assert subset_ranks(ctx, A, mask, target).tolist() == want
+    assert want[:4] == [0, 4, 1, 1]
 
 
 @pytest.mark.parametrize("q", [4, 9, 2048, 2187])
