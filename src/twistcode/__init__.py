@@ -18,12 +18,13 @@ from .code import (AutomorphismReport, Codeword, MaxThetaReport,
                    second_weight_check, subspace_solution_bound, theta,
                    weight_spectrum)
 from .embedding import ProjectiveSystem, build_system, embed_flag, make_system
-from .gamma import Flag, Gamma, GammaLine, build_gamma, flag_count
+from .gamma import (Flag, Gamma, GammaLine, base_cardinality, build_gamma,
+                    flag_count)
 from .gf import (AutSpec, FieldCtx, apply_sigma, apply_sigma_inverse,
                  make_autspec, make_field, norm)
 from .hyperplanes import (FpfWitness, HyperplaneReport, SearchBudgetExhausted,
-                          base_cardinality, classify, find_fpf_collineation,
-                          find_spread, norm_proportional, phi_fixed_points,
+                          classify, find_fpf_collineation, find_spread,
+                          norm_proportional, phi_fixed_points,
                           quasi_singular_cardinality, singular_cardinality,
                           spread_type_cardinality)
 from .projgeom import (ProjClass, class_index, class_reps_range, enumerate_pg,

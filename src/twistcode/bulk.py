@@ -8,7 +8,9 @@ exhaustive or sampled spectrum at q = 2^t.  Odd p runs on bytes
 (linalg.matmul and linalg.rank_batch), the planes' oracle in the tests.
 At (8, 2, 1) the planes take 55 ns per class against 435 on bytes; they
 were faster at every t from 1 to 16 tried, so no cutoff in t applies.
-The minimality sweep ranks each codeword's zero rows with subset_ranks.
+The flag check and the minimality sweep take their codewords from
+ProjectiveSystem.codewords; the minimality sweep ranks each codeword's
+zero rows with subset_ranks.
 
 fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
 (kept for the solution masks of min_weight_sweep) runs it on stacks,
@@ -30,6 +32,7 @@ import multiprocessing as mp
 import numpy as np
 
 from .embedding import build_system
+from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
 from .projgeom import class_reps_range, line_array
@@ -69,9 +72,6 @@ class _Bundle:
         self.lead = [next(i for i, e in enumerate(f.rep) if e)
                      for f in g.functionals]
         self.N = sys_.N
-        q = self.q
-        self.base = (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
-        self.qn1 = q ** (n - 1)
 
     @functools.cached_property
     def dual_line_masks(self) -> list[int]:
@@ -135,17 +135,16 @@ def zero_counts_batch(b: _Bundle, R: np.ndarray,
                       full_mask: bool = False):
     """Number of vanishing codeword coordinates per matrix in the batch.
 
-    As in code.eval_codeword, c_M = flat @ vec(M^T), so the batch is the
-    product of the rows vec(M^T) with flat^T.  Returns the count vector,
-    and the full (B, N) boolean mask when full_mask is set (minimality
-    needs the positions).
+    The codewords come from ProjectiveSystem.codewords, in slices of
+    about _PRODUCTS field products.  Returns the count vector, and the
+    full (B, N) boolean mask when full_mask is set (minimality needs the
+    positions).
     """
-    step = max(1, _PRODUCTS // (b.N * b.k))
+    step = max(1, _PRODUCTS // (b.N * b.m))
     counts = np.empty(len(R), dtype=np.int32)
     mask = np.empty((len(R), b.N), dtype=bool) if full_mask else None
     for a in range(0, len(R), step):
-        W = R[a:a + step].reshape(-1, b.m, b.m).transpose(0, 2, 1)
-        zero = matmul(b.ctx, W.reshape(-1, b.k), b.sys.flat.T) == 0
+        zero = b.sys.codewords(R[a:a + step].reshape(-1, b.m, b.m)) == 0
         counts[a:a + step] = zero.sum(axis=1)
         if full_mask:
             mask[a:a + step] = zero
@@ -289,7 +288,8 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
 
     if opts.get("flag_check"):
         z, _ = zero_counts_batch(b, R)
-        viol = z.astype(np.int64) != b.base + theta.astype(np.int64) * b.qn1
+        per_theta = theta.astype(np.int64) * b.q ** (b.n - 1)
+        viol = z != base_cardinality(b.q, b.n) + per_theta
         out["identity_violations"] = int(viol.sum())
         out["first_identity_violation"] = (
             int(start + np.flatnonzero(viol)[0]) if viol.any() else None)

@@ -17,10 +17,10 @@ from typing import NoReturn
 
 from . import code as code_ops
 from . import hyperplanes as hp
-from .embedding import make_system
-from .gamma import FAMILIES, flag_count
+from .embedding import build_system
+from .gamma import FAMILIES, base_cardinality, flag_count
 from .gf import make_autspec, make_field
-from .projgeom import num_classes
+from .projgeom import POINT_CAP, num_classes
 
 SCHEMA_VERSION = 1
 
@@ -135,13 +135,21 @@ def _emit(args, payload: dict | str) -> None:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_params(args) -> dict:
-    # closed forms only: building the system could exceed FLAG_CAP, and the
-    # formulas below read nothing of a system but its ctx, spec and n
+def _profile(args, allow_identity: bool = False) -> SimpleNamespace:
+    """ctx, spec, n and cfg: all that a closed form or a sampled spectrum
+    reads.  Building the system could exceed FLAG_CAP or take minutes."""
     p, t, j, modulus = _resolve_config(args)
+    if j == 0 and not allow_identity:
+        raise ValueError("the identity twist (j = 0) is only supported by "
+                         "the system subcommand")
     ctx = make_field(p, t, modulus)
-    profile = SimpleNamespace(ctx=ctx, spec=make_autspec(ctx, j), n=args.n)
-    q, n = ctx.q, args.n
+    return SimpleNamespace(ctx=ctx, spec=make_autspec(ctx, j), n=args.n,
+                           cfg=(p, t, ctx.modulus, j, args.n))
+
+
+def _cmd_params(args) -> dict:
+    profile = _profile(args, allow_identity=True)
+    q, n, j = profile.ctx.q, profile.n, profile.spec.j
     k = (n + 1) ** 2
     return {
         "length": flag_count(q, n),
@@ -152,7 +160,7 @@ def _cmd_params(args) -> dict:
         "theta_bounds": {str(r): code_ops.m_bound(r, q, n, profile.spec.s)
                          for r in range(1, n + 2)},
         "cardinalities": {
-            "base": hp.base_cardinality(q, n),
+            "base": base_cardinality(q, n),
             "singular": hp.singular_cardinality(q, n),
             "quasi_singular": hp.quasi_singular_cardinality(q, n),
             "spread_type": hp.spread_type_cardinality(q, n),
@@ -164,11 +172,8 @@ def _cmd_params(args) -> dict:
 
 
 def _system(args, allow_identity: bool = False):
-    p, t, j, modulus = _resolve_config(args)
-    if j == 0 and not allow_identity:
-        raise ValueError("the identity twist (j = 0) is only supported by "
-                         "the system subcommand")
-    return make_system(p, t, j, args.n, modulus)
+    profile = _profile(args, allow_identity)
+    return build_system(profile.ctx, profile.spec, profile.n)
 
 
 def _cmd_system(args) -> dict:
@@ -219,7 +224,10 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_spectrum(args) -> dict | str:
-    ps = _system(args)
+    ps = _system(args) if args.sample is None else _profile(args)
+    F = num_classes(ps.ctx.q, ps.n + 1)     # a built system has F capped
+    if F > POINT_CAP:
+        raise ValueError(f"{F} functional classes exceed the cap {POINT_CAP}")
     check = {"auto": None, "on": True, "off": False}[args.flag_check]
     table = code_ops.weight_spectrum(ps, sample=args.sample, seed=args.seed,
                                      threads=args.threads, flag_check=check)

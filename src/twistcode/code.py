@@ -20,12 +20,14 @@ dual space (at most s + 1) and in every r-dimensional subspace (at most
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bulk
 from .embedding import ProjectiveSystem
+from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, norm
 from .linalg import (as_matrix, invert, is_scalar_matrix, left_kernel, matmul,
                      normalize_rep, rank, scalar_mul, sigma_entrywise)
@@ -116,10 +118,13 @@ class AutomorphismReport:
 
 def eval_codeword(sys: ProjectiveSystem, M) -> Codeword:
     """Trace pairing of M against every embedded flag, in flag order."""
-    ctx = sys.ctx
-    M = as_matrix(ctx, M, square=sys.m)
-    w = M.T.reshape(-1, 1)        # w[r*m+c] = M[c,r]
-    return Codeword(values=matmul(ctx, sys.flat, w)[:, 0], matrix=M)
+    M = as_matrix(sys.ctx, M, square=sys.m)
+    return Codeword(sys.codewords(M), M)
+
+
+def weight_of_theta(q: int, n: int, th: int) -> int:
+    """Codeword weight q^(n-1) * ((q^(n+1)-1)/(q-1) - theta)."""
+    return q ** (n - 1) * ((q ** (n + 1) - 1) // (q - 1) - th)
 
 
 def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
@@ -127,8 +132,10 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
 
     Scans every functional class once (lambda is read off at the leading 1
     of xi, which sigma fixes).  With check_identity the codeword is also
-    evaluated over all flags and the intersection identity asserted; both
-    routes are independent.
+    evaluated over all flags (ProjectiveSystem.codewords) and its zero
+    count asserted against the intersection identity: both start from the
+    products xi M, which the scan compares with sigma(xi) and the codeword
+    pairs with sigma(x_i) flag by flag.
     """
     ctx = sys.ctx
     M = as_matrix(ctx, M, square=sys.m)
@@ -140,19 +147,15 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
     th = kernel + prop
 
     q, n = ctx.q, sys.n
-    base = (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
-    pts = (q ** (n + 1) - 1) // (q - 1)
-    weight = q ** (n - 1) * (pts - th)
+    zeros = base_cardinality(q, n) + th * q ** (n - 1)
     if check_identity:
-        cw = eval_codeword(sys, M)
-        z = sys.N - cw.weight
-        assert z == base + th * q ** (n - 1), \
+        z = int(np.count_nonzero(sys.codewords(M) == 0))
+        assert z == zeros, \
             f"intersection identity violated: zeros={z}, theta={th}"
-        assert cw.weight == weight
     return ThetaReport(theta=th, kernel_classes=kernel,
-                       proportional_classes=prop,
-                       intersection=base + th * q ** (n - 1),
-                       weight=weight, identity_checked=check_identity)
+                       proportional_classes=prop, intersection=zeros,
+                       weight=weight_of_theta(q, n, th),
+                       identity_checked=check_identity)
 
 
 def m_bound(r: int, q: int, n: int, s: int) -> int:
@@ -234,19 +237,13 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
     every codeword's zero count from the flags and asserts the
     intersection identity per class (default: on when classes*N is small).
     """
-    ctx = sys.ctx
-    q, n = ctx.q, sys.n
-    pts = (q ** (n + 1) - 1) // (q - 1)
-    qn1 = q ** (n - 1)
+    q, n = sys.ctx.q, sys.n
 
     if sample is not None:
         if sample <= 0:
             raise ValueError("sample size must be positive")
         thetas = bulk.sampled_theta(sys.cfg, sample, seed)
-        counts: dict[int, int] = {}
-        for th in thetas.tolist():
-            w = qn1 * (pts - th)
-            counts[w] = counts.get(w, 0) + 1
+        counts = Counter(weight_of_theta(q, n, th) for th in thetas.tolist())
         return SpectrumTable(counts=dict(sorted(counts.items())),
                              mode="sampled", classes=sample,
                              identity_checked=False)
@@ -263,11 +260,10 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
         assert extras["identity_violations"] == 0, \
             f"intersection identity violated first at class " \
             f"{extras['first_identity_violation']}"
-    counts = {0: 1}
+    counts = Counter({0: 1})
     for th, cnt in enumerate(hist.tolist()):
         if cnt:
-            w = qn1 * (pts - th)
-            counts[w] = counts.get(w, 0) + cnt * (q - 1)
+            counts[weight_of_theta(q, n, th)] += cnt * (q - 1)
     assert sum(counts.values()) == q ** sys.k, "spectrum does not sum to q^k"
     if sys.spec.j != 0 and n >= 2:
         d = closed_form_min_distance(sys)
@@ -336,17 +332,12 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
     ctx = sys.ctx
     witness = class_reps_range(ctx.q, sys.k, first_bad, first_bad + 1,
                                dtype=ctx.dtype)[0].reshape(sys.m, sys.m)
-    cw = eval_codeword(sys, witness)
-    rows = sys.flat[cw.values == 0]
-    ann = left_kernel(ctx, rows.T)      # {w : rows w = 0}
-    target = witness.T.reshape(-1)
-    covering = None
-    for v in ann:
-        vn, _ = normalize_rep(ctx, v)
-        tn, _ = normalize_rep(ctx, target)
-        if not np.array_equal(vn, tn):
-            covering = v.reshape(sys.m, sys.m).T
-            break
+    rows = sys.flat[sys.codewords(witness) == 0]
+    target, _ = normalize_rep(ctx, witness.T.reshape(-1))
+    # the first w with rows w = 0 that is no multiple of the witness
+    covering = next((w.reshape(sys.m, sys.m).T for w in left_kernel(ctx, rows.T)
+                     if not np.array_equal(normalize_rep(ctx, w)[0], target)),
+                    None)
     return MinimalityReport(minimal=False, classes_checked=total,
                             witness_index=first_bad, witness=witness,
                             covering=covering)
@@ -426,16 +417,14 @@ def second_weight_check(sys: ProjectiveSystem,
     if spec.j == 0:
         raise ValueError("second-weight analysis needs sigma != 1")
     q, n = ctx.q, sys.n
-    pts = (q ** (n + 1) - 1) // (q - 1)
-    qn1 = q ** (n - 1)
     m1 = m_bound(1, q, n, spec.s)
     worst = max(m_bound(r, q, n, spec.s) for r in range(2, sys.m + 1))
     if worst >= m1 - 1:
         raise ValueError(
             f"the two lightest weights are not governed by rank 1 here: "
             f"max theta over rank >= 2 is {worst}, m(1) is {m1}")
-    w_min = qn1 * (pts - m1)
-    w_second = qn1 * (pts - (m1 - 1))
+    w_min = weight_of_theta(q, n, m1)
+    w_second = weight_of_theta(q, n, m1 - 1)
 
     total = num_classes(q, sys.k)
     if total > bulk.EXHAUSTIVE_CAP:
@@ -530,14 +519,10 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
         M = random_nonzero_matrix(ctx, m, rng)
         gi = invert(ctx, g)
         Y = _act(ctx, gi, sigma_entrywise(ctx, spec, g), M)
-        cM = eval_codeword(sys, M)
-        cY = eval_codeword(sys, Y)
-        if cY.weight != cM.weight:
-            weight_failures += 1
+        cM, cY = sys.codewords(np.stack([M, Y]))
+        weight_failures += int(np.count_nonzero(cY) != np.count_nonzero(cM))
         perm, lam = _conj_permutation(sys, g, gi)
-        expected = ctx.mul_np(lam, cM.values[perm]).astype(ctx.dtype)
-        if not np.array_equal(cY.values, expected):
-            perm_failures += 1
+        perm_failures += not np.array_equal(cY, ctx.mul_np(lam, cM[perm]))
 
     # kernel: alpha I with alpha in the fixed subfield fixes every codeword
     fixed_scalars = [a for a in range(1, ctx.q) if spec.tlist[a] == a]
@@ -545,16 +530,14 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
     for alpha in fixed_scalars:
         gI = scalar_mul(ctx, alpha, np.eye(m, dtype=ctx.dtype))
         gi, sg = invert(ctx, gI), sigma_entrywise(ctx, spec, gI)
-        for _ in range(4):
-            M = random_nonzero_matrix(ctx, m, rng)
-            Y = _act(ctx, gi, sg, M)
-            if not np.array_equal(Y, M.astype(ctx.dtype)):
-                kernel_ok = False
-            if not np.array_equal(eval_codeword(sys, Y).values,
-                                  eval_codeword(sys, M).values):
-                kernel_ok = False
+        Ms = np.stack([random_nonzero_matrix(ctx, m, rng) for _ in range(4)])
+        Ys = _act(ctx, gi, sg, Ms)
+        cY, cM = sys.codewords(np.stack([Ys, Ms]))
+        kernel_ok &= np.array_equal(Ys, Ms) and np.array_equal(cY, cM)
 
     # non-kernel: some elementary matrix codeword must move
+    E = np.eye(m * m, dtype=ctx.dtype).reshape(-1, m, m)
+    cE = sys.codewords(E) if nonkernel_probes else None
     moved_all = True
     probes = 0
     while probes < nonkernel_probes:
@@ -563,16 +546,9 @@ def automorphism_check(sys: ProjectiveSystem, trials: int, seed: int,
         if scal and spec.tlist[alpha] == alpha:
             continue
         probes += 1
-        gi, sg = invert(ctx, g), sigma_entrywise(ctx, spec, g)
-        moved = False
-        for E in np.eye(m * m, dtype=ctx.dtype).reshape(-1, m, m):
-            Y = _act(ctx, gi, sg, E)
-            if not np.array_equal(Y, E) and not np.array_equal(
-                    eval_codeword(sys, Y).values, eval_codeword(sys, E).values):
-                moved = True
-                break
-        if not moved:
-            moved_all = False
+        Y = _act(ctx, invert(ctx, g), sigma_entrywise(ctx, spec, g), E)
+        moved = (Y != E).any(axis=(1, 2)) & (sys.codewords(Y) != cE).any(axis=1)
+        moved_all &= bool(moved.any())
     return AutomorphismReport(trials=trials, seed=seed,
                               weight_failures=weight_failures,
                               permutation_failures=perm_failures,

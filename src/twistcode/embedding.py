@@ -7,7 +7,9 @@ is already a normalized class representative.  The images of all N flags,
 indexed by flag order, form a projective system in the matrix space; a
 matrix M cuts the system in the coordinates i where the trace pairing
 Tr(X_i M) vanishes, and the codeword of M downstream is exactly that trace
-vector.
+vector.  Every X_i has rank 1, so Tr(X_i M) = xi_i M sigma(x_i), and
+ProjectiveSystem.codewords, the one codeword evaluator, takes it that way:
+the F x m products xi M once, then m products per flag.
 
 A flag is looked up by its (point, functional) index pair through
 Gamma.flag_indices.  A normalized member X = sigma(x) * xi has xi as its
@@ -27,9 +29,10 @@ import numpy as np
 
 from .gamma import Flag, Gamma, build_gamma
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import (dot, normalize_rep, pure_tensor, subset_ranks,
-                     trace_product, vecmat)
+from .linalg import matmul, normalize_rep, pure_tensor, subset_ranks
 from .projgeom import class_indices
+
+_BLOCK = 1 << 16      # field products per flag block of codewords
 
 
 @dataclass(eq=False)
@@ -60,6 +63,33 @@ class ProjectiveSystem:
     def cfg(self) -> tuple:
         """Picklable config tuple; workers rebuild the system from it."""
         return (self.ctx.p, self.ctx.t, self.ctx.modulus, self.spec.j, self.n)
+
+    @functools.cached_property
+    def _sigma_points(self) -> np.ndarray:
+        """(m, N): column i is sigma(x_i); built on first use."""
+        return self.spec.table[self.gamma.points_arr.T][:, self.gamma.point_idx]
+
+    def codewords(self, M) -> np.ndarray:
+        """c_M[i] = Tr(X_i M) = xi_i M sigma(x_i), in flag order.
+
+        M is one m x m matrix or a stack (..., m, m); returns (..., N).
+        V = xi M is taken once per functional class.  Then, in blocks of
+        flags of about _BLOCK products, V is gathered into (m, flags, ...),
+        with the stack axes last, multiplied by sigma(x_i) and summed over
+        the m entries; larger blocks ran up to 2.5x slower per product.
+        """
+        ctx, g = self.ctx, self.gamma
+        V = matmul(ctx, g.funcs_arr, M)
+        nd = V.ndim
+        # (m, F, ...): a view of the (F, m, ...) layout matmul leaves in memory
+        V = V.transpose(nd - 1, nd - 2, *range(nd - 2))
+        sx = self._sigma_points.reshape((self.m, self.N) + (1,) * (nd - 2))
+        c = np.empty((self.N,) + V.shape[2:], dtype=ctx.dtype)
+        step = max(1, _BLOCK // (self.m * max(1, V[0, 0].size)))
+        for lo in range(0, self.N, step):
+            W = V.take(g.func_idx[lo:lo + step], axis=1)
+            c[lo:lo + step] = ctx.sum_np(ctx.mul_np(W, sx[:, lo:lo + step]), 0)
+        return c.transpose(*range(1, nd - 1), 0)
 
     def class_of(self, M) -> int | None:
         """Flag index of [M] if M is proportional to a system member."""
@@ -143,18 +173,3 @@ def make_system(p: int, t: int, j: int, n: int,
     """Convenience builder from raw parameters."""
     ctx = make_field(p, t, modulus)
     return build_system(ctx, make_autspec(ctx, j), n)
-
-
-def saturation_membership(ctx: FieldCtx, spec: AutSpec, x, xi, M) -> bool:
-    """Whether the image of the flag (x, xi) lies on the hyperplane cut by M.
-
-    Computed as the vanishing of xi M sigma(x) and cross-checked against
-    the direct trace Tr((sigma(x) xi) M); the two routes are asserted equal.
-    """
-    x = np.asarray(x)
-    xi = np.asarray(xi)
-    sx = spec.table[x].astype(ctx.dtype)
-    via_pairing = dot(ctx, vecmat(ctx, xi, np.asarray(M)), sx)
-    via_trace = trace_product(ctx, pure_tensor(ctx, sx, xi), np.asarray(M))
-    assert via_pairing == via_trace, "trace pairing identity violated"
-    return via_pairing == 0

@@ -49,6 +49,12 @@ def flag_count(q: int, n: int) -> int:
     return (q ** (n + 1) - 1) * (q ** n - 1) // (q - 1) ** 2
 
 
+def base_cardinality(q: int, n: int) -> int:
+    """Flags on which a theta = 0 functional vanishes:
+    (q^(n+1)-1)(q^(n-1)-1)/(q-1)^2."""
+    return (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
+
+
 class Gamma:
     """The flag geometry for one (ctx, n); build via build_gamma()."""
 

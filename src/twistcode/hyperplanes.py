@@ -37,6 +37,7 @@ import numpy as np
 from . import bulk
 from . import code as code_ops
 from .embedding import ProjectiveSystem
+from .gamma import base_cardinality
 from .gf import FieldCtx, make_field
 from .linalg import (as_matrix, dot, invert, is_scalar_matrix, matmul, rank,
                      rank1_factor, sigma_entrywise, vecmat)
@@ -58,12 +59,6 @@ class SearchBudgetExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 # cardinalities
 # ---------------------------------------------------------------------------
-
-def base_cardinality(q: int, n: int) -> int:
-    """Flags on which a theta = 0 functional vanishes:
-    (q^(n+1)-1)(q^(n-1)-1)/(q-1)^2."""
-    return (q ** (n + 1) - 1) * (q ** (n - 1) - 1) // (q - 1) ** 2
-
 
 def singular_cardinality(q: int, n: int) -> int:
     return base_cardinality(q, n) + q ** (n - 1) * (q ** n - 1) // (q - 1)
@@ -176,8 +171,7 @@ def classify(sys: ProjectiveSystem, M,
     if check_hyperplane is None:
         check_hyperplane = sys.N <= 10 ** 5
     if check_hyperplane:
-        cw = code_ops.eval_codeword(sys, M)
-        inside = set(np.flatnonzero(cw.values == 0).tolist())
+        inside = np.flatnonzero(sys.codewords(M) == 0)
         is_hp, offender = sys.gamma.is_geometric_hyperplane(inside)
         assert is_hp, f"zero set fails the one-or-all test on line {offender}"
     return HyperplaneReport(kind=kind, rank=r, theta=rep.theta,

@@ -262,6 +262,27 @@ def test_classify_on_the_single_line_of_pg1_2048():
     assert json.loads(proc.stdout)["command"] == "classify"
 
 
+def test_sampled_spectrum_builds_no_system():
+    # a sampled spectrum reads only the field, the twist and n; building the
+    # flag geometry of PG(1, 65536) first took minutes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcode.cli", "spectrum", "--q", "65536",
+         "--j", "8", "--n", "1", "--sample", "50"],
+        capture_output=True, text=True, env=env, timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["mode"] == "sampled" and out["classes"] == 50
+    assert sum(out["counts"].values()) == 50
+    assert out["config"]["fixed_subfield"] == 256
+    # the identity twist is still refused, and so are more functional
+    # classes than the point cap
+    for argv in (("--q", "4", "--n", "2"), ("--q", "4", "--j", "1", "--n", "40")):
+        code, out = run("spectrum", *argv, "--sample", "3")
+        assert code == 2 and out["error"]["type"] == "ValueError", argv
+
+
 def test_lines_summary_and_csv():
     code, out = run("lines", "--q", "4", "--j", "1", "--n", "2")
     assert code == 0

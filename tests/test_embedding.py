@@ -1,14 +1,18 @@
 """The twisted embedding of flags into matrix space."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from twistcode import embed_flag, make_autspec, make_field, make_system
-from twistcode.embedding import _span_rank, saturation_membership
-from twistcode.linalg import rank, scalar_mul
+import twistcode
+from twistcode import SplitMix64, embed_flag, make_system
+from twistcode.embedding import _span_rank
+from twistcode.linalg import pure_tensor, rank, scalar_mul, trace_product
 
 import naive_ref
-from helpers import golden, prime_power, system
+from helpers import flat_codewords, golden, prime_power, system
 
 
 def test_embedded_flats_match_golden():
@@ -98,6 +102,8 @@ def test_embed_flag_normalizes():
 
 
 def test_saturation_membership_agrees_with_the_codeword():
+    # the flag (x, xi) lies on the hyperplane of M exactly when
+    # Tr(sigma(x) xi M) = 0, taken here flag by flag from the two reps
     from twistcode import eval_codeword
     ps = system(2, 2, 1, 2)
     ctx, spec = ps.ctx, ps.spec
@@ -105,11 +111,51 @@ def test_saturation_membership_agrees_with_the_codeword():
     cw = eval_codeword(ps, M)
     hits = 0
     for fl, val in zip(ps.gamma.flags, cw.values.tolist()):
-        member = saturation_membership(ctx, spec, fl.point.rep,
-                                       fl.functional.rep, M)
+        X = pure_tensor(ctx, spec.table[list(fl.point.rep)],
+                        np.array(fl.functional.rep, dtype=ctx.dtype))
+        member = trace_product(ctx, X, M) == 0
         assert member == (val == 0)
         hits += member
     assert 0 < hits < ps.N
+
+
+@pytest.mark.parametrize("q, n, j", [(4, 2, 1), (8, 2, 1), (9, 2, 1),
+                                     (4, 2, 0), (2048, 1, 1), (2187, 1, 2)])
+def test_codewords_match_the_naive_trace_pairing(q, n, j):
+    # sigma of order 3 at q = 8, odd p at q = 9, sigma = 1 at (4, 2, 0), no
+    # q x q tables at q = 2048 and 2187; naive_codeword takes Tr(X_i M) on
+    # the flat rows, which test_embedding_matches_naive_oracle checks
+    ps = system(*prime_power(q), j, n)
+    ctx, m = ps.ctx, ps.m
+    nf = naive_ref.NaiveGF(ctx.p, ctx.t, ctx.modulus)
+    flats = ps.flat.tolist()
+    stack = np.array(SplitMix64(q + j).elements(q, 6 * ps.k),
+                     dtype=ctx.dtype).reshape(2, 3, m, m)
+    stack[0, 1] = 0
+    want = np.array([naive_ref.naive_codeword(nf, flats, M.tolist())
+                     for M in stack.reshape(-1, m, m)]).reshape(2, 3, ps.N)
+    for M, w in [(stack, want), (stack[1], want[1]), (stack[1, 2], want[1, 2]),
+                 (stack[0, :0], want[0, :0])]:
+        got = ps.codewords(M)
+        assert got.shape == w.shape and got.dtype == ctx.dtype
+        assert np.array_equal(got, w)
+
+
+def test_codewords_match_the_flat_product():
+    ps = system(3, 2, 1, 3)
+    R = np.array(SplitMix64(5).elements(9, 12 * ps.k),
+                 dtype=ps.ctx.dtype).reshape(12, ps.k)
+    got = ps.codewords(R.reshape(-1, ps.m, ps.m))
+    assert np.array_equal(got, flat_codewords(ps, R))
+
+
+def test_no_module_takes_a_flat_product():
+    # every codeword goes through ProjectiveSystem.codewords; flat stays for
+    # ranks, decoding and witness rows, never as a matmul operand
+    src = Path(twistcode.__file__).parent
+    flat_product = re.compile(r"matmul\((?:[^()]|\([^()]*\))*\.flat\b")
+    assert sorted(path.name for path in src.glob("*.py")
+                  if flat_product.search(path.read_text())) == []
 
 
 def test_make_system_validation():
