@@ -17,10 +17,13 @@ fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
 code.theta on single matrices.  The planes aside, every kernel works
 through linalg.matmul and the FieldCtx array operations, so none of
 them needs the q x q field tables, and each works at every q.
-A sweep walks the global class order in chunks; with more than one
-worker the chunks go to a fork pool and are folded in submission order,
-which keeps every aggregate (sums, histograms, first-witness tie breaks)
-byte-identical regardless of the worker count.
+
+A sweep has one record: each chunk of the global class order counts its
+classes per cell (theta, rank class, check bit) of class_keys, and the
+kind of sweep picks the check bit.  code adds the chunk tables in
+submission order (a fork pool with more than one worker), so every
+aggregate is byte-identical for any worker count, and reads a witness
+off the keys of the first chunk in which its cell turns up.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .projgeom import class_reps_range, line_array
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
+PAIR_CAP = 10 ** 9      # class x flag pairs: auto flag check, minimality
 DEFAULT_CHUNK = 1 << 18
 _SLICE = 1 << 14        # rows per _descent_bytes step; bounds its N(M) products
 _PLANE_SLICE = 1 << 16  # rows per _descent_planes step (1024 words a plane)
@@ -260,79 +264,71 @@ def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
 # chunk evaluation and the parallel driver
 # ---------------------------------------------------------------------------
 
-def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
+def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
+    """The cell of each class in [start, stop), as a flat table index.
+
+    A cell is (theta, rank class, check bit), flattened to
+    (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank come
+    from theta_descent; the rank class is the rank, except that a rank-1
+    class with a vanishing pairing_batch (singular) takes rank class 0.
+    kind picks the check bit: "theta" sets none, "flag" marks a violated
+    intersection identity (zero_counts_batch), "cond" the solutions on no
+    line of the dual space (theta_batch's masks; its theta is asserted to
+    equal the descent's) and "minimality" a zero set of rank < k - 1
+    (subset_ranks).
+    """
     b = _bundle(cfg)
     R = class_reps_range(b.q, b.k, start, stop, dtype=b.ctx.dtype)
-    out: dict = {"start": start, "stop": stop, "classes": stop - start}
+    theta, rclass = theta_descent(b.ctx, b.spec, R)
+    rank1 = rclass == 1
+    rclass[rank1] = pairing_batch(b, R[rank1]) != 0     # singular: 0
+    keys = theta.astype(np.intp)
+    keys *= b.m + 1
+    keys += rclass
+    keys *= 2
+    if kind != "theta":
+        keys += _check_bit(b, kind, R, theta)
+    return keys
 
-    if opts["kind"] == "minimality":
-        # zero rows of rank k - 1 per class, in slices: no (len(R), N) mask
-        step = max(1, _PRODUCTS // b.N)
-        bad = []
-        for a in range(0, R.shape[0], step):
-            _, mask = zero_counts_batch(b, R[a:a + step], full_mask=True)
-            ranks = subset_ranks(b.ctx, b.sys.flat, mask, b.k - 1)
-            bad += (start + a + np.flatnonzero(ranks < b.k - 1)).tolist()
-        out["bad"] = bad[:16]
-        out["bad_count"] = len(bad)
-        return out
 
-    want_cond = opts.get("cond_theta") is not None
-    if want_cond:       # the solution masks need the per-functional scan
-        theta, sol = theta_batch(b, R, want_solmask=True)
-        if opts.get("rank_pairing") or opts.get("max_by_rank"):
-            ranks = rank3_batch(b, R)
-    else:
-        theta, ranks = theta_descent(b.ctx, b.spec, R)
-    out["theta_hist"] = np.bincount(theta, minlength=b.F + 1)
-
-    if opts.get("flag_check"):
+def _check_bit(b: _Bundle, kind: str, R: np.ndarray,
+               theta: np.ndarray) -> np.ndarray:
+    if kind == "flag":
         z, _ = zero_counts_batch(b, R)
         per_theta = theta.astype(np.int64) * b.q ** (b.n - 1)
-        viol = z != base_cardinality(b.q, b.n) + per_theta
-        out["identity_violations"] = int(viol.sum())
-        out["first_identity_violation"] = (
-            int(start + np.flatnonzero(viol)[0]) if viol.any() else None)
-
-    if want_cond:
+        return z != base_cardinality(b.q, b.n) + per_theta
+    if kind == "cond":
+        scan, sol = theta_batch(b, R, want_solmask=True)
+        assert np.array_equal(scan, theta), "scan and descent theta differ"
         contained = np.zeros(R.shape[0], dtype=bool)
         for mk in b.dual_line_masks:
             contained |= (sol & ~mk) == 0
-        cond = (sol != 0) & ~contained
-        hit = theta == opts["cond_theta"]
-        mism = cond != hit
-        out["cond_count"] = int(cond.sum())
-        out["cond_mismatches"] = int(mism.sum())
-        out["first_cond_mismatch"] = (
-            int(start + np.flatnonzero(mism)[0]) if mism.any() else None)
+        return (sol != 0) & ~contained
+    if kind == "minimality":
+        # zero rows of rank k - 1 per class, in slices: no (len(R), N) mask
+        step = max(1, _PRODUCTS // b.N)
+        bad = np.empty(R.shape[0], dtype=bool)
+        for a in range(0, R.shape[0], step):
+            _, mask = zero_counts_batch(b, R[a:a + step], full_mask=True)
+            ranks = subset_ranks(b.ctx, b.sys.flat, mask, b.k - 1)
+            bad[a:a + step] = ranks < b.k - 1
+        return bad
+    raise ValueError(f"unknown sweep kind {kind!r}")
 
-    if opts.get("rank_pairing"):
-        rank1 = ranks == 1
-        qsns = np.zeros_like(rank1)
-        qsns[rank1] = pairing_batch(b, R[rank1]) != 0
-        sing = rank1 & ~qsns
-        out["rank1_count"] = int(rank1.sum())
-        out["qsns_count"] = int(qsns.sum())
-        out["sing_count"] = int(sing.sum())
-        m1 = opts["m1"]
-        v1 = (theta == m1) != qsns
-        v2 = (theta == m1 - 1) != sing
-        out["w1_violations"] = int(v1.sum())
-        out["first_w1"] = int(start + np.flatnonzero(v1)[0]) if v1.any() else None
-        out["w2_violations"] = int(v2.sum())
-        out["first_w2"] = int(start + np.flatnonzero(v2)[0]) if v2.any() else None
 
-    if opts.get("max_by_rank"):
-        per = {}
-        for r in range(1, b.m + 1):
-            msk = ranks == r
-            if msk.any():
-                mx = int(theta[msk].max())
-                idx = int(start + np.flatnonzero(msk & (theta == mx))[0])
-                per[r] = (mx, idx)
-        out["max_by_rank"] = per
+def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
+    """Count the classes in [start, stop) per cell (class_keys).
 
-    return out
+    Only opts["kind"] is read.  Returns start, stop, classes and table,
+    the (F + 1, m + 1, 2) counts over (theta, rank class, check bit);
+    chunks fold by adding their tables.
+    """
+    b = _bundle(cfg)
+    shape = (b.F + 1, b.m + 1, 2)
+    keys = class_keys(cfg, opts["kind"], start, stop)
+    table = np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
+    return {"start": start, "stop": stop, "classes": stop - start,
+            "table": table}
 
 
 def _sweep_chunk_star(args):

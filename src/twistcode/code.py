@@ -57,6 +57,9 @@ class ThetaReport:
     intersection: int          # vanishing coordinates of the codeword
     weight: int
     identity_checked: bool
+    # where the codeword vanishes, kept when the identity was checked
+    zero_flags: np.ndarray | None = field(default=None, repr=False,
+                                          compare=False)
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,8 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
     evaluated over all flags (ProjectiveSystem.codewords) and its zero
     count asserted against the intersection identity: both start from the
     products xi M, which the scan compares with sigma(xi) and the codeword
-    pairs with sigma(x_i) flag by flag.
+    pairs with sigma(x_i) flag by flag; the zero set is kept as
+    zero_flags.
     """
     ctx = sys.ctx
     M = as_matrix(ctx, M, square=sys.m)
@@ -148,14 +152,16 @@ def theta(sys: ProjectiveSystem, M, check_identity: bool = True) -> ThetaReport:
 
     q, n = ctx.q, sys.n
     zeros = base_cardinality(q, n) + th * q ** (n - 1)
+    zero = None
     if check_identity:
-        z = int(np.count_nonzero(sys.codewords(M) == 0))
+        zero = sys.codewords(M) == 0
+        z = int(np.count_nonzero(zero))
         assert z == zeros, \
             f"intersection identity violated: zeros={z}, theta={th}"
     return ThetaReport(theta=th, kernel_classes=kernel,
                        proportional_classes=prop, intersection=zeros,
                        weight=weight_of_theta(q, n, th),
-                       identity_checked=check_identity)
+                       identity_checked=check_identity, zero_flags=zero)
 
 
 def m_bound(r: int, q: int, n: int, s: int) -> int:
@@ -195,34 +201,51 @@ def min_distance(sys: ProjectiveSystem, exhaustive: bool = False,
 # exhaustive sweeps
 # ---------------------------------------------------------------------------
 
-def _fold_theta_hist(sys, opts, threads):
-    b_F = len(sys.gamma.functionals)
-    hist = np.zeros(b_F + 1, dtype=np.int64)
-    extras = {"identity_violations": 0, "first_identity_violation": None,
-              "cond_count": 0, "cond_mismatches": 0, "first_cond_mismatch": None,
-              "rank1_count": 0, "qsns_count": 0, "sing_count": 0,
-              "w1_violations": 0, "first_w1": None,
-              "w2_violations": 0, "first_w2": None,
-              "classes": 0, "max_by_rank": {}}
-    total = num_classes(sys.ctx.q, sys.k)
-    for res in bulk.iter_sweep(sys.cfg, opts, total, threads=threads):
-        hist[:len(res["theta_hist"])] += res["theta_hist"]
-        extras["classes"] += res["classes"]
-        for key in ("identity_violations", "cond_mismatches", "cond_count",
-                    "rank1_count", "qsns_count", "sing_count",
-                    "w1_violations", "w2_violations"):
-            if key in res:
-                extras[key] += res[key]
-        for key in ("first_identity_violation", "first_cond_mismatch",
-                    "first_w1", "first_w2"):
-            if res.get(key) is not None and extras[key] is None:
-                extras[key] = res[key]
-        for r, (mx, idx) in res.get("max_by_rank", {}).items():
-            cur = extras["max_by_rank"].get(r)
-            if cur is None or mx > cur[0] or (mx == cur[0] and idx < cur[1]):
-                extras["max_by_rank"][r] = (mx, idx)
-    assert extras["classes"] == total
-    return hist, extras
+class _Sweep:
+    """One exhaustive sweep of one kind, folded from its chunks.
+
+    table holds the class counts per cell (theta, rank class, check bit)
+    of bulk.class_keys, and first, per cell, the start of the first chunk
+    with a class in it (read only where the count is nonzero).  theta,
+    rclass and bit are the cell coordinates, shaped to broadcast against
+    table; rank class 0 is rank 1 singular, 1 rank 1 quasi-singular and
+    r >= 2 rank r.
+    """
+
+    def __init__(self, sys: ProjectiveSystem, kind: str, threads: int):
+        total = num_classes(sys.ctx.q, sys.k)
+        limits = [(total, bulk.EXHAUSTIVE_CAP, "classes")]
+        if kind == "minimality":        # each class ranks its N flag rows
+            limits.append((total * sys.N, bulk.PAIR_CAP, "class x flag pairs"))
+        for size, cap, unit in limits:
+            if size > cap:
+                raise ValueError(
+                    f"{size} {unit} exceed the exhaustive cap {cap}")
+        self.sys, self.kind, self.total = sys, kind, total
+        self.chunk = bulk.DEFAULT_CHUNK
+        chunks = bulk.iter_sweep(sys.cfg, {"kind": kind}, total,
+                                 threads=threads, chunk=self.chunk)
+        tables = np.stack([res["table"] for res in chunks])
+        self.table = tables.sum(axis=0)
+        self.first = (tables > 0).argmax(axis=0) * self.chunk
+        assert self.table.sum() == total
+        self.theta, self.rclass, self.bit = np.ix_(
+            *(np.arange(d) for d in self.table.shape))
+
+    def count(self, cells) -> int:
+        """Classes in the cells where the broadcast bool array cells is set."""
+        return int(self.table[np.broadcast_to(cells, self.table.shape)].sum())
+
+    def first_class(self, cells) -> int | None:
+        """Index of the first class in those cells, None if there is none."""
+        cells = np.broadcast_to(cells, self.table.shape)
+        starts = self.first[cells & (self.table > 0)]
+        if not starts.size:
+            return None
+        start = int(starts.min())
+        stop = min(start + self.chunk, self.total)
+        keys = bulk.class_keys(self.sys.cfg, self.kind, start, stop)
+        return start + int(np.argmax(cells.reshape(-1)[keys]))
 
 
 def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
@@ -249,19 +272,15 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
                              identity_checked=False)
 
     total = num_classes(q, sys.k)
-    if total > bulk.EXHAUSTIVE_CAP:
-        raise ValueError(f"{total} classes exceed the exhaustive cap "
-                         f"{bulk.EXHAUSTIVE_CAP}; pass sample=")
     if flag_check is None:
-        flag_check = total * sys.N <= 10 ** 9
-    opts = {"kind": "theta", "flag_check": bool(flag_check)}
-    hist, extras = _fold_theta_hist(sys, opts, threads)
+        flag_check = total * sys.N <= bulk.PAIR_CAP
+    sweep = _Sweep(sys, "flag" if flag_check else "theta", threads)
     if flag_check:
-        assert extras["identity_violations"] == 0, \
-            f"intersection identity violated first at class " \
-            f"{extras['first_identity_violation']}"
+        bad = sweep.first_class(sweep.bit == 1)
+        assert bad is None, \
+            f"intersection identity violated first at class {bad}"
     counts = Counter({0: 1})
-    for th, cnt in enumerate(hist.tolist()):
+    for th, cnt in enumerate(sweep.table.sum(axis=(1, 2)).tolist()):
         if cnt:
             counts[weight_of_theta(q, n, th)] += cnt * (q - 1)
     assert sum(counts.values()) == q ** sys.k, "spectrum does not sum to q^k"
@@ -285,13 +304,11 @@ def max_theta_by_rank(sys: ProjectiveSystem, r: int,
     ctx, spec = sys.ctx, sys.spec
     if not 1 <= r <= sys.m:
         raise ValueError(f"rank must be in [1, {sys.m}]")
-    total = num_classes(ctx.q, sys.k)
-    if total > bulk.EXHAUSTIVE_CAP:
-        raise ValueError(f"{total} classes exceed the exhaustive cap")
     bound = m_bound(r, ctx.q, sys.n, spec.s)
-    opts = {"kind": "theta", "max_by_rank": True}
-    _, extras = _fold_theta_hist(sys, opts, threads)
-    mx, idx = extras["max_by_rank"][r]
+    sweep = _Sweep(sys, "theta", threads)
+    of_rank = np.maximum(sweep.rclass, 1) == r
+    mx = int(np.flatnonzero((sweep.table * of_rank).sum(axis=(1, 2)))[-1])
+    idx = sweep.first_class(of_rank & (sweep.theta == mx))
     witness = class_reps_range(ctx.q, sys.k, idx, idx + 1,
                                dtype=ctx.dtype)[0].reshape(sys.m, sys.m)
     assert rank(ctx, witness) == r
@@ -314,21 +331,10 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
     """
     if sys.spec.j == 0:
         raise ValueError("minimality sweep requires sigma != 1")
-    total = num_classes(sys.ctx.q, sys.k)
-    if total > bulk.EXHAUSTIVE_CAP:
-        raise ValueError(f"{total} classes exceed the exhaustive cap")
-    opts = {"kind": "minimality"}
-    bad_count = 0
-    first_bad = None
-    checked = 0
-    for res in bulk.iter_sweep(sys.cfg, opts, total, threads=threads):
-        checked += res["classes"]
-        bad_count += res["bad_count"]
-        if res["bad"] and first_bad is None:
-            first_bad = res["bad"][0]
-    assert checked == total
-    if bad_count == 0:
-        return MinimalityReport(minimal=True, classes_checked=total)
+    sweep = _Sweep(sys, "minimality", threads)
+    first_bad = sweep.first_class(sweep.bit == 1)
+    if first_bad is None:
+        return MinimalityReport(minimal=True, classes_checked=sweep.total)
     ctx = sys.ctx
     witness = class_reps_range(ctx.q, sys.k, first_bad, first_bad + 1,
                                dtype=ctx.dtype)[0].reshape(sys.m, sys.m)
@@ -338,7 +344,7 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
     covering = next((w.reshape(sys.m, sys.m).T for w in left_kernel(ctx, rows.T)
                      if not np.array_equal(normalize_rep(ctx, w)[0], target)),
                     None)
-    return MinimalityReport(minimal=False, classes_checked=total,
+    return MinimalityReport(minimal=False, classes_checked=sweep.total,
                             witness_index=first_bad, witness=witness,
                             covering=covering)
 
@@ -389,18 +395,15 @@ def min_weight_sweep(sys: ProjectiveSystem, threads: int = 1) -> dict:
         raise ValueError("sweep requires n = 2 and involutory sigma")
     if spec.s != 2:
         raise ValueError("vectorized sweep requires fixed subfield GF(2)")
-    total = num_classes(ctx.q, sys.k)
-    if total > bulk.EXHAUSTIVE_CAP:
-        raise ValueError("class count exceeds the exhaustive cap")
     target = m_bound(sys.m, ctx.q, sys.n, spec.s)   # theta at minimum weight
-    opts = {"kind": "theta", "cond_theta": target}
-    _, extras = _fold_theta_hist(sys, opts, threads)
+    sweep = _Sweep(sys, "cond", threads)
+    mism = (sweep.theta == target) != (sweep.bit == 1)
     return {
-        "classes": extras["classes"],
-        "condition_classes": extras["cond_count"],
-        "mismatches": extras["cond_mismatches"],
-        "first_mismatch": extras["first_cond_mismatch"],
-        "ok": extras["cond_mismatches"] == 0,
+        "classes": sweep.total,
+        "condition_classes": sweep.count(sweep.bit == 1),
+        "mismatches": sweep.count(mism),
+        "first_mismatch": sweep.first_class(mism),
+        "ok": sweep.count(mism) == 0,
     }
 
 
@@ -426,23 +429,20 @@ def second_weight_check(sys: ProjectiveSystem,
     w_min = weight_of_theta(q, n, m1)
     w_second = weight_of_theta(q, n, m1 - 1)
 
-    total = num_classes(q, sys.k)
-    if total > bulk.EXHAUSTIVE_CAP:
-        raise ValueError("class count exceeds the exhaustive cap")
-    opts = {"kind": "theta", "rank_pairing": True, "m1": m1}
-    hist, extras = _fold_theta_hist(sys, opts, threads)
-    assert int(hist[m1 + 1:].sum()) == 0, \
+    sweep = _Sweep(sys, "theta", threads)
+    th, sing, qsns = sweep.theta, sweep.rclass == 0, sweep.rclass == 1
+    assert sweep.count(th > m1) == 0, \
         "theta exceeded m(1); rank-1 maximality violated"
     return SecondWeightReport(
         min_weight=w_min, second_weight=w_second,
-        min_weight_classes=int(hist[m1]),
-        second_weight_classes=int(hist[m1 - 1]),
-        rank1_classes=extras["rank1_count"],
-        singular_classes=extras["sing_count"],
-        quasi_singular_classes=extras["qsns_count"],
-        correspondence_ok=(extras["w1_violations"] == 0
-                           and extras["w2_violations"] == 0),
-        mode="exhaustive", classes_checked=extras["classes"])
+        min_weight_classes=sweep.count(th == m1),
+        second_weight_classes=sweep.count(th == m1 - 1),
+        rank1_classes=sweep.count(sing | qsns),
+        singular_classes=sweep.count(sing),
+        quasi_singular_classes=sweep.count(qsns),
+        correspondence_ok=(sweep.count((th == m1) != qsns) == 0
+                           and sweep.count((th == m1 - 1) != sing) == 0),
+        mode="exhaustive", classes_checked=sweep.total)
 
 
 # ---------------------------------------------------------------------------

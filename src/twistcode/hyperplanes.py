@@ -171,7 +171,7 @@ def classify(sys: ProjectiveSystem, M,
     if check_hyperplane is None:
         check_hyperplane = sys.N <= 10 ** 5
     if check_hyperplane:
-        inside = np.flatnonzero(sys.codewords(M) == 0)
+        inside = np.flatnonzero(rep.zero_flags)     # theta's codeword
         is_hp, offender = sys.gamma.is_geometric_hyperplane(inside)
         assert is_hp, f"zero set fails the one-or-all test on line {offender}"
     return HyperplaneReport(kind=kind, rank=r, theta=rep.theta,

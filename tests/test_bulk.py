@@ -5,7 +5,9 @@ import pytest
 
 from twistcode import (bulk, classify, linalg, make_autspec, make_field,
                        theta, weight_spectrum)
-from twistcode.code import m_bound, random_nonzero_matrix
+from twistcode.code import (is_minimal, m_bound, max_theta_by_rank,
+                            min_weight_sweep, random_nonzero_matrix,
+                            second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
 from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
@@ -198,10 +200,13 @@ def test_minimality_certificate_matches_naive_rank(cfg, start, stop,
     want = [naive_ref.naive_rank(nf, ps.flat[mk].tolist()) if mk.any() else 0
             for mk in mask]
     assert got.tolist() == want
-    bad = [start + i for i, r in enumerate(want) if r < ps.k - 1]
-    assert (not bad) == (ps.n == 2)
+    bad = [r < ps.k - 1 for r in want]
+    assert (not any(bad)) == (ps.n == 2)
+    # the check bit of every class's cell is its certificate
+    keys = bulk.class_keys(ps.cfg, "minimality", start, stop)
+    assert (keys & 1).astype(bool).tolist() == bad
     res = bulk.sweep_chunk(ps.cfg, {"kind": "minimality"}, start, stop)
-    assert res["bad_count"] == len(bad) and res["bad"] == bad[:16]
+    assert res["table"][..., 1].sum() == sum(bad)
 
 
 def test_rank3_batch_matches_rank():
@@ -235,57 +240,71 @@ def test_pairing_batch_matches_classify(cfg):
 
 
 def test_cond_theta_sweep_keeps_the_rank_options():
-    # cond_theta takes theta from theta_batch, so the ranks that the rank
-    # options read come from rank3_batch there
+    # the cond kind only adds its check bit: theta and the rank classes
+    # are the theta kind's, so its table summed over the bit is that table
     ps = system(2, 2, 1, 2)
     total = num_classes(4, 9)
-    opts = {"kind": "theta", "rank_pairing": True,
-            "m1": m_bound(1, 4, 2, 2), "max_by_rank": True}
-    plain = bulk.sweep_chunk(ps.cfg, opts, 0, total)
-    cond = bulk.sweep_chunk(ps.cfg, dict(opts, cond_theta=m_bound(3, 4, 2, 2)),
-                            0, total)
-    for key in ("theta_hist", "rank1_count", "qsns_count", "sing_count",
-                "w1_violations", "w2_violations", "max_by_rank"):
-        assert np.array_equal(cond[key], plain[key]), key
-    assert cond["cond_mismatches"] == 0
+    plain = bulk.sweep_chunk(ps.cfg, {"kind": "theta"}, 0, total)["table"]
+    cond = bulk.sweep_chunk(ps.cfg, {"kind": "cond"}, 0, total)["table"]
+    assert plain[..., 1].sum() == 0
+    assert np.array_equal(cond.sum(axis=2), plain[..., 0])
+    # the check bit is set exactly on the minimum-weight classes
+    target = m_bound(3, 4, 2, 2)
+    assert cond[target, :, 1].sum() == cond[target].sum() == 360
+    assert cond[..., 1].sum() == 360
 
 
 def test_sweep_is_thread_invariant():
     ps = system(2, 2, 1, 2)
     total = num_classes(4, 9)
-    opts = {"kind": "theta"}
 
-    def run(threads):
-        hist = np.zeros(200, dtype=np.int64)
-        classes = 0
-        for res in bulk.iter_sweep(ps.cfg, opts, total, threads=threads,
-                                   chunk=1 << 14):
-            hist[:len(res["theta_hist"])] += res["theta_hist"]
-            classes += res["classes"]
-        return classes, hist
+    def run(threads, kind):
+        table = 0
+        for res in bulk.iter_sweep(ps.cfg, {"kind": kind}, total,
+                                   threads=threads, chunk=1 << 14):
+            table = table + res["table"]
+        return table
 
-    c1, h1 = run(1)
-    c2, h2 = run(2)
-    assert c1 == c2 == total
-    assert np.array_equal(h1, h2)
+    for kind in ("theta", "flag"):
+        t1, t2 = run(1, kind), run(2, kind)
+        assert np.array_equal(t1, t2)
+        assert t1.sum() == total and t1[..., 1].sum() == 0
     # weight = 4 * (21 - theta), so the frozen spectrum pins the histogram:
     # 1080 codewords of weight 56 are 360 classes, 1008 of weight 60 are 336
-    assert h1[7] == 360
-    assert h1[6] == 336
-    assert h1.sum() == total
+    hist = t1.sum(axis=(1, 2))
+    assert hist[7] == 360
+    assert hist[6] == 336
 
 
 def test_chunk_boundaries_do_not_lose_classes():
     ps = system(2, 2, 1, 2)
     total = num_classes(4, 9)
-    opts = {"kind": "theta"}
-    whole = bulk.sweep_chunk(ps.cfg, opts, 0, total)
-    halves = [bulk.sweep_chunk(ps.cfg, opts, 0, total // 2),
-              bulk.sweep_chunk(ps.cfg, opts, total // 2, total)]
-    merged = np.zeros(max(len(h["theta_hist"]) for h in halves), dtype=np.int64)
-    for h in halves:
-        merged[:len(h["theta_hist"])] += h["theta_hist"]
-    assert np.array_equal(merged, whole["theta_hist"][:len(merged)])
+    for kind in ("theta", "cond"):
+        opts = {"kind": kind}
+        whole = bulk.sweep_chunk(ps.cfg, opts, 0, total)["table"]
+        halves = [bulk.sweep_chunk(ps.cfg, opts, 0, total // 2)["table"],
+                  bulk.sweep_chunk(ps.cfg, opts, total // 2, total)["table"]]
+        assert np.array_equal(halves[0] + halves[1], whole)
+
+
+def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch):
+    # a witness is re-read from the first chunk where its cell turns up;
+    # with chunks of 2^10 the (4, 2) sweep has 86 of them
+    ps = system(2, 2, 1, 2)
+    ctx = ps.ctx
+    R = class_reps_range(4, 9, 0, num_classes(4, 9), dtype=ctx.dtype)
+    theta, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)    # fixed_scan
+    ranks = linalg.rank_batch(ctx, R.reshape(-1, 3, 3))
+    wide = {r: max_theta_by_rank(ps, r) for r in (1, 2, 3)}
+    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 1 << 10)
+    for r in (1, 2, 3):
+        narrow = max_theta_by_rank(ps, r)
+        of_rank = ranks == r
+        mx = theta[of_rank].max()
+        first = int(np.flatnonzero(of_rank & (theta == mx))[0])
+        assert wide[r].witness_index == narrow.witness_index == first
+        assert wide[r].max_theta == narrow.max_theta == mx
+        assert np.array_equal(narrow.witness, R[first].reshape(3, 3))
 
 
 def test_sampled_theta_reproducible():
@@ -298,7 +317,30 @@ def test_sampled_theta_reproducible():
     assert a.min() >= 0 and a.max() <= 7
 
 
-def test_exhaustive_cap_is_enforced():
-    ps = system(3, 2, 1, 2)     # 9^9 classes, far beyond the cap
-    with pytest.raises(ValueError):
-        weight_spectrum(ps)
+@pytest.mark.parametrize("entry, cfg", [
+    (weight_spectrum, (2, 2, 1, 2)),
+    (lambda ps: max_theta_by_rank(ps, 1), (2, 2, 1, 2)),
+    (is_minimal, (2, 2, 1, 2)),
+    (min_weight_sweep, (2, 2, 1, 2)),
+    (second_weight_check, (2, 3, 1, 2))],
+    ids=["weight_spectrum", "max_theta_by_rank", "is_minimal",
+         "min_weight_sweep", "second_weight_check"])
+def test_exhaustive_cap_is_enforced(entry, cfg, monkeypatch):
+    # one class over the cap is refused before any chunk runs
+    ps = system(*cfg)
+    total = num_classes(ps.ctx.q, ps.k)
+    monkeypatch.setattr(bulk, "EXHAUSTIVE_CAP", total - 1)
+    monkeypatch.setattr(bulk, "iter_sweep", None)
+    with pytest.raises(ValueError, match=f"{total} classes exceed the "
+                                         f"exhaustive cap {total - 1}"):
+        entry(ps)
+
+
+def test_exhaustive_cap_refuses_the_real_sizes():
+    with pytest.raises(ValueError, match="exhaustive cap 20000000"):
+        weight_spectrum(system(3, 2, 1, 2))     # 9^9 classes
+    # (8, 2) is under the class cap, but its minimality sweep would rank
+    # 19,173,961 x 657 flag rows
+    with pytest.raises(ValueError, match="class x flag pairs exceed the "
+                                         "exhaustive cap 1000000000"):
+        is_minimal(system(2, 3, 1, 2))

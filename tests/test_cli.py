@@ -9,7 +9,13 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import pytest
+
 from twistcode.cli import main
+from twistcode.projgeom import class_reps_range
+
+import naive_ref
+from helpers import flat_codewords, prime_power, system
 
 
 def run(*argv):
@@ -138,6 +144,60 @@ def test_spectrum_thread_count_does_not_change_output():
     _, b = run("spectrum", "--q", "4", "--j", "1", "--n", "2",
                "--threads", "2")
     assert a == b
+
+
+def _stdout(*argv):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(list(argv))
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("q, classes", [(4, 85), (8, 585), (16, 4369)])
+def test_minimality_witness_at_n1(q, classes):
+    argv = ("minimality", "--q", str(q), "--j", "1", "--n", "1")
+    (c1, text), (c2, text2) = (_stdout(*argv, "--threads", th)
+                               for th in ("1", "2"))
+    assert c1 == c2 == 0 and text == text2
+    out = json.loads(text)
+    assert out["minimal"] is False and out["classes_checked"] == classes
+    assert out["witness_index"] == 0
+    assert out["witness"] == [[0, 0], [0, 1]]
+    assert out["covering"] == [[1, 0], [0, 0]]
+    # the witness is the first class whose zero rows have rank < k - 1
+    ps = system(*prime_power(q), 1, 1)
+    nf = naive_ref.make_naive(q)
+    R = class_reps_range(q, ps.k, 0, classes, dtype=ps.ctx.dtype)
+    first = next(i for i, zero in enumerate(flat_codewords(ps, R) == 0)
+                 if naive_ref.naive_rank(nf, ps.flat[zero].tolist()) < ps.k - 1)
+    assert out["witness_index"] == first
+
+
+def test_minwords_payload():
+    argv = ("minwords", "--q", "4", "--j", "1", "--n", "2")
+    (c1, text), (c2, text2) = (_stdout(*argv, "--threads", th)
+                               for th in ("1", "2"))
+    assert c1 == c2 == 0 and text == text2
+    out = json.loads(text)
+    assert {k: out[k] for k in ("classes", "condition_classes", "mismatches",
+                                "first_mismatch", "ok")} == {
+        "classes": 87381, "condition_classes": 360, "mismatches": 0,
+        "first_mismatch": None, "ok": True}
+
+
+def test_minimality_beyond_the_pair_cap_fails_fast():
+    # (8, 2) has 19,173,961 classes, under the class cap, but ranking their
+    # zero rows would take minutes: 1.26e10 class x flag pairs
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcode.cli", "minimality", "--q", "8",
+         "--j", "1", "--n", "2"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2, proc.stderr
+    msg = json.loads(proc.stdout)["error"]["message"]
+    assert msg == ("12597292377 class x flag pairs exceed the exhaustive cap "
+                   "1000000000")
 
 
 def test_sampled_spectrum_reports_mode():
