@@ -66,10 +66,10 @@ class Gamma:
             raise ValueError(f"{expected} flags exceed the {FLAG_CAP} cap")
         self.ctx = ctx
         self.n = n
-        self.points = enumerate_pg(ctx, n + 1)
-        self.functionals = enumerate_pg(ctx, n + 1)
-        self.points_arr = np.array([p.rep for p in self.points], dtype=ctx.dtype)
-        self.funcs_arr = np.array([f.rep for f in self.functionals], dtype=ctx.dtype)
+        # functionals enumerate like points: one list and one array serve both
+        self.points = self.functionals = enumerate_pg(ctx, n + 1)
+        self.points_arr = self.funcs_arr = np.array(
+            [p.rep for p in self.points], dtype=ctx.dtype)
 
         # incidence in blocks of functionals; the nonzero positions of the
         # F x P test are the sorted keys functional * P + point of the flags
@@ -124,33 +124,20 @@ class Gamma:
             return self._line_flags
         q, P = self.ctx.q, len(self.points)
         pg = line_array(self.ctx, self.n + 1)
-        inc = np.zeros((len(self.functionals), P), dtype=bool)
+        inc = np.zeros((P, P), dtype=bool)
         inc[self.func_idx, self.point_idx] = True
-
-        def flag_rows(major, minor, y, xs):
-            # flag index of each incident pair (major y[i], minor xs[i, c]);
-            # xs is a fresh array and becomes the search keys in place; not
-            # flag_indices, whose functional-major keys the point-major
-            # hyperplane pencils would scatter over (about 3x slower)
-            keys = major.astype(np.int64) * P + minor
-            order = np.argsort(keys, kind="stable")
-            xs += y[:, None] * P
-            found = np.searchsorted(keys, xs, sorter=order)
-            np.take(order, found, out=found)
-            assert np.array_equal(keys[found], xs), "pencil member not a flag"
-            return found.astype(np.int32)
-
-        # point pencils (H, r): pairs of a hyperplane and a line of points;
-        # hyperplane pencils (p, S): S is cut out by a dual line of functionals
-        h, r = _incident_pairs(np.ascontiguousarray(inc.T), pg)
-        p, d = _incident_pairs(inc, pg)
-        pencils = flag_rows(self.func_idx, self.point_idx, h, pg[r])
-        duals = flag_rows(self.point_idx, self.func_idx, p, pg[d])
+        # xi.x is symmetric, so inc is too, and one set of (y, line) pairs
+        # serves both families: point pencils (H, r) and hyperplane pencils
+        # (p, S), S cut out by a dual line.  The flag transpose
+        # (x, xi) -> (xi, x) maps the one onto the other, rows kept ascending
+        y, li = _incident_pairs(inc, pg)
+        pencils = self.flag_indices(pg[li], y[:, None]).astype(np.int32)
+        assert (pencils >= 0).all(), "pencil member not a flag"
+        transpose = self.flag_indices(self.func_idx, self.point_idx).astype(np.int32)
         # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
         per_family = len(pg) * (q ** (self.n - 1) - 1) // (q - 1)
-        assert len(pencils) == len(duals) == per_family, \
-            (len(pencils), len(duals), per_family)
-        self._line_flags = np.concatenate([pencils, duals]), len(pencils)
+        assert len(pencils) == per_family, (len(pencils), per_family)
+        self._line_flags = np.concatenate([pencils, transpose[pencils]]), len(pencils)
         return self._line_flags
 
     def lines(self) -> list[GammaLine]:

@@ -10,18 +10,22 @@ The scalar and array arithmetic is table based.  A FieldCtx carries
 
 * exp/log lists for the cyclic group (the construction of the exp table
   doubles as the primitivity proof for the generator),
+* the Zech logarithms Z(e) = log(1 + g^e), so that for odd p
+  a + b = g^(log a + Z(log b - log a)),
 * full q x q add/mul numpy tables for q <= 1024, and
 * per-element neg, inv and -1/x tables.
 
-The array operations add_np, mul_np and sum_np (the field sum along one
-axis) work at every q: above q = 1024 they add by XOR (p = 2) or digit
-sums and multiply through the exp/log tables.  Other modules go through
-them and the scalar operations; none reads the q x q tables itself.
+Scalar add is XOR for p = 2 and Zech for odd p, scalar mul is exp/log,
+at every q.  The array operations add_np, mul_np and sum_np (the field
+sum along one axis) read the q x q tables up to q = 1024; above it they
+add by XOR (p = 2) or Zech and multiply through exp/log.  Other modules
+go through them and the scalar operations; none reads the q x q tables.
 For p = 2, FieldCtx.planes (a Planes, built on first use) adds bit-plane
 arithmetic on 64 elements per machine word, with no tables at all.
 
 Field axioms are verified exhaustively at construction for q <= 512 and on
-a fixed deterministic sample of triples above that.
+a fixed deterministic sample of triples above that; the Zech table is
+checked against add_table on 1 + x wherever add_table exists.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .rng import SplitMix64
 
 Q_CAP = 1 << 16          # largest supported field size
 _FULL_TABLE_CAP = 1024   # build q x q tables up to this size
-_LIST_TABLE_CAP = 256    # keep python list tables up to this size
 _AXIOM_EXHAUSTIVE_CAP = 512
 
 # Default moduli, coefficients low degree first, leading 1 included.
@@ -315,14 +318,17 @@ class FieldCtx:
         self.neg_inv_table = neg[inv].astype(self.dtype)    # -1/x, 0 -> 0
         self._negl = [int(v) for v in neg]
         self._invl = [int(v) for v in inv]
+        # Zech logarithms, -1 where 1 + g^e = 0; 1 + x raises only the
+        # lowest base-p digit of x
+        x = self.exp[:q - 1]
+        self.zech = self.log[x - x % p + (x + 1) % p]
+        self._zech = self.zech.tolist()
 
     def _build_full_tables(self) -> None:
         p, q = self.p, self.q
         if q > _FULL_TABLE_CAP:
             self.add_table = None
             self.mul_table = None
-            self._addl = None
-            self._mull = None
             return
         if p == 2:
             idx = np.arange(q, dtype=np.int64)
@@ -338,12 +344,6 @@ class FieldCtx:
         mt[1:, 1:] = self.exp[(lg[1:, None] + lg[None, 1:]) % (q - 1)]
         self.add_table = add.astype(self.dtype)
         self.mul_table = mt.astype(self.dtype)
-        if q <= _LIST_TABLE_CAP:
-            self._addl = [[int(v) for v in row] for row in add]
-            self._mull = [[int(v) for v in row] for row in mt]
-        else:
-            self._addl = None
-            self._mull = None
 
     def _verify_axioms(self) -> None:
         q = self.q
@@ -353,6 +353,12 @@ class FieldCtx:
         nz = a[1:]
         assert np.all(self.mul_np(nz, self.inv_table[1:].astype(np.int64)) == 1), \
             "multiplicative inverses broken"
+        if self.add_table is not None:
+            # scalar add reads the Zech list, not the tables: 1 + x, O(q)
+            x, z = self.exp[:q - 1], self.zech
+            assert np.array_equal(np.where(z < 0, 0, self.exp[z]),
+                                  self.add_table[1, x]) \
+                and self._zech == z.tolist(), "Zech logarithms broken"
         if q <= _AXIOM_EXHAUSTIVE_CAP:
             add, mul = self.add_table.astype(np.int64), self.mul_table.astype(np.int64)
             assert np.array_equal(add, add.T), "addition not commutative"
@@ -387,34 +393,25 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        if self._addl is not None:
-            return self._addl[a][b]
-        if self.add_table is not None:
-            return int(self.add_table[a, b])
-        return self._digit_add(a, b)
+        if a == 0 or b == 0:
+            return a or b
+        la = self._log[a]
+        # a negative difference indexes from the end: the same class mod q - 1
+        z = self._zech[self._log[b] - la]
+        return 0 if z < 0 else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         return self._negl[a]
 
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self._negl[b])
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        if self._mull is not None:
-            return self._mull[a][b]
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(q)")
         return self._invl[a]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -433,12 +430,12 @@ class FieldCtx:
             # a flat take beats add_table[a, b] by 1.5-3x from ~10^3 entries
             return self.add_table.ravel().take(
                 np.multiply(a, self.q, dtype=np.intp) + b)
-        p = self.p
-        out = np.zeros_like(a)
-        for i in range(self.t):
-            pi = p ** i
-            out += (((a // pi) % p + (b // pi) % p) % p) * pi
-        return out
+        # Zech, from the smaller logarithm: a + b = a (1 + b/a) = b (1 + a/b).
+        # A zero has log -1; the indices it spoils are clipped, then masked
+        la, lb = self.log.take(a), self.log.take(b)
+        z = self.zech.take(np.abs(lb - la), mode="clip")
+        out = np.where(z < 0, 0, self.exp.take(np.minimum(la, lb) + z, mode="clip"))
+        return np.where(a == 0, b, np.where(b == 0, a, out)).astype(self.dtype)
 
     def sum_np(self, a, axis: int):
         """Field sum of the array `a` along one axis.
@@ -466,9 +463,6 @@ class FieldCtx:
     def planes(self) -> "Planes":
         """Bit-plane arithmetic of GF(2^t), built on first use (p = 2 only)."""
         return Planes(self)
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def digits(self, a: int) -> tuple[int, ...]:
         return tuple(_int_digits(a, self.p, self.t))

@@ -301,7 +301,7 @@ def test_autcheck_smoke():
 
 def test_autcheck_beyond_the_table_fields():
     # no q x q tables above q = 1024: log-table products, XOR sums (p = 2)
-    # and digit sums (p = 3)
+    # and Zech sums (p = 3)
     for q, count in (("2048", "1"), ("2187", "2")):
         code, out = run("autcheck", "--q", q, "--j", "1", "--n", "1",
                         "--trials", count, "--nonkernel", count)

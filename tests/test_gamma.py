@@ -75,14 +75,23 @@ def test_every_flag_is_incident():
 
 
 def test_line_families():
-    for q, n in [(4, 2), (9, 2)]:
+    for q, n in [(3, 1), (4, 1), (4, 2), (9, 2), (3, 3), (4, 3)]:
         ctx = make_field(*prime_power(q))
         g = build_gamma(ctx, n)
         lines = g.lines()
         pencils = [ln for ln in lines if ln.family == "point-pencil"]
         duals = [ln for ln in lines if ln.family == "hyperplane-pencil"]
-        per_family = (q ** 2 + q + 1) * (q ** (n - 1) - 1) // (q - 1)
+        # (#lines of PG(n, q)) * (#hyperplanes through a line)
+        pg_lines = ((q ** (n + 1) - 1) * (q ** n - 1)
+                    // ((q ** 2 - 1) * (q - 1)))
+        per_family = pg_lines * (q ** (n - 1) - 1) // (q - 1)
         assert len(pencils) == len(duals) == per_family
+        # hyperplane pencil i is the flag transpose (x, xi) -> (xi, x) of
+        # point pencil i, member by member
+        pairs = [(fl.point.index, fl.functional.index) for fl in g.flags]
+        for pen, dual in zip(pencils, duals):
+            assert [pairs[i][::-1] for i in pen.flags] == \
+                [pairs[i] for i in dual.flags]
         for ln in lines:
             assert len(ln.flags) == q + 1
             members = [g.flags[i] for i in ln.flags]

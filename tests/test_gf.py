@@ -112,6 +112,44 @@ def test_sampled_axiom_check_catches_a_corrupt_table():
         ctx._verify_axioms()
 
 
+@pytest.mark.parametrize("p, t", [(3, 2), (3, 7)])
+def test_axiom_check_catches_a_corrupt_zech_entry(p, t):
+    # up to q = 1024 the Zech table is checked against add_table on 1 + x;
+    # above it, the sampled triples run through the Zech add_np
+    from twistcode.gf import FieldCtx
+    ctx = FieldCtx(p, t)
+    ctx._verify_axioms()
+    e = 5
+    ctx.zech[e] = ctx._zech[e] = (ctx._zech[e] + 1) % (ctx.q - 1)
+    with pytest.raises(AssertionError):
+        ctx._verify_axioms()
+
+
+@pytest.mark.parametrize("q", [q for q in DESK_Q if q % 2])
+def test_scalar_operations_match_the_tables(q):
+    # scalar add (Zech) and mul (exp/log) against the q x q tables
+    ctx = make_field(*prime_power(q))
+    assert [[ctx.add(a, b) for b in range(q)] for a in range(q)] == \
+        ctx.add_table.tolist()
+    assert [[ctx.mul(a, b) for b in range(q)] for a in range(q)] == \
+        ctx.mul_table.tolist()
+
+
+@pytest.mark.parametrize("p, t", [(3, 7), (5, 5), (3, 8)])
+def test_zech_add_np_matches_naive_above_the_table_cap(p, t):
+    ctx = make_field(p, t)
+    assert ctx.add_table is None
+    nf = naive_ref.NaiveGF(p, t, ctx.modulus)
+    rng = SplitMix64(ctx.q)
+    a, b = (np.array(rng.elements(ctx.q, 500), dtype=ctx.dtype) for _ in range(2))
+    a[:20] = b[10:30] = 0                      # zeros on either side and both
+    b[40:60] = ctx.neg_table[a[40:60]]         # x + (-x) = 0
+    got = ctx.add_np(a, b)
+    assert got.dtype == ctx.dtype
+    assert got.tolist() == [nf.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert (got[40:60] == 0).all()
+
+
 @given(st.sampled_from(DESK_Q), st.integers(0, 2 ** 48))
 @settings(max_examples=80, deadline=None)
 def test_digit_round_trip(q, i):
