@@ -6,8 +6,12 @@ it runs on bit planes, 64 classes per machine word (gf.Planes,
 linalg.plane_matmul and linalg.plane_rank): criterion 6 and every
 exhaustive or sampled spectrum at q = 2^t.  Odd p runs on bytes
 (linalg.matmul and linalg.rank_batch), the planes' oracle in the tests.
-At (8, 2, 1) the planes take 55 ns per class against 435 on bytes; they
-were faster at every t from 1 to 16 tried, so no cutoff in t applies.
+At (8, 2, 1) theta_descent takes 40-48 ns per class on planes against
+309 on bytes; the planes were faster at every t from 1 to 16 tried, so
+no cutoff in t applies.  A p = 2 sweep chunk skips the byte rows: its
+planes come straight from the class counter (class_planes_range, about
+3 ns per class against 38-39 for class_reps_range and Planes.pack), and
+a theta chunk at (8, 2, 1) takes 49 ns per class against 97 before.
 The flag check and the minimality sweep take their codewords from
 ProjectiveSystem.codewords; the minimality sweep ranks each codeword's
 zero rows with subset_ranks.
@@ -20,8 +24,8 @@ them needs the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
 classes per cell (theta, rank class, check bit) of class_keys, and the
-kind of sweep picks the check bit.  code adds the chunk tables in
-submission order (a fork pool with more than one worker), so every
+kind of sweep picks the check bit.  code adds the chunk tables as they
+come, in submission order (a fork pool with more than one worker), so every
 aggregate is byte-identical for any worker count, and reads a witness
 off the keys of the first chunk in which its cell turns up.
 """
@@ -38,7 +42,7 @@ from .embedding import build_system
 from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
-from .projgeom import class_reps_range, line_array
+from .projgeom import class_planes_range, class_reps_range, line_array
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -178,29 +182,53 @@ def theta_descent(ctx: FieldCtx, spec: AutSpec,
     are looked up per rank.  The mu-sum takes one batched rank per element
     of F_s*, so the cost grows with s.  Reads no q x q table.
 
-    The ranks come from _descent_planes (bit planes, 64 classes per word)
-    when p = 2, else from _descent_bytes; each walks the batch in slices
-    of its own size, which bounds the N(M) products.
+    For p = 2 the ranks come from _descent_planes on the packed bit planes
+    of R (64 classes per word), else from _descent_bytes; _fold_ranks
+    walks the batch in slices of each kernel's size, which bounds the
+    N(M) products, and turns the ranks into theta.
+    """
+    if ctx.p == 2:
+        return _plane_descent(ctx, spec, ctx.planes.pack(R.T), len(R))
+    m = math.isqrt(R.shape[1])
+    M = R.reshape(-1, m, m)
+    return _fold_ranks(ctx, spec, m, len(M), _SLICE, lambda a, mus:
+                       _descent_bytes(ctx, spec, M[a:a + _SLICE], mus))
+
+
+def _plane_descent(ctx: FieldCtx, spec: AutSpec, P: np.ndarray,
+                   B: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta_descent of the first B lanes of the planes P, (t, k, W), of
+    flattened m x m matrices."""
+    m = math.isqrt(P.shape[1])
+    P = P.reshape(P.shape[0], m, m, -1)
+    words = _PLANE_SLICE // 64
+    return _fold_ranks(ctx, spec, m, B, _PLANE_SLICE, lambda a, mus:
+                       _descent_planes(ctx, spec,
+                                       P[..., a // 64:a // 64 + words], mus))
+
+
+def _fold_ranks(ctx: FieldCtx, spec: AutSpec, m: int, B: int, step: int,
+                ranks_of) -> tuple[np.ndarray, np.ndarray]:
+    """theta and rank of B classes from their ranks, slice by slice.
+
+    ranks_of(a, mus) yields rank M, then rank(N(M) - mu I) for each mu,
+    for the classes a .. a + step - 1 (a plane kernel pads to whole words:
+    the tail is cut off); theta_descent's closed form adds them up.
     """
     q, s = ctx.q, spec.s
-    m = math.isqrt(R.shape[1])
     mus = [a for a in range(1, q) if spec.tlist[a] == a]
     dtype = np.min_scalar_type((q ** m - 1) // (q - 1))   # theta <= F
     kern = np.array([(q ** (m - r) - 1) // (q - 1) for r in range(m + 1)], dtype)
     fixed = np.array([(s ** (m - r) - 1) // (s - 1) for r in range(m + 1)], dtype)
-    if ctx.p == 2:
-        ranks_of, step = _descent_planes, _PLANE_SLICE
-    else:
-        ranks_of, step = _descent_bytes, _SLICE
-    theta = np.empty(R.shape[0], dtype=dtype)
-    ranks = np.empty(R.shape[0], dtype=np.int8)
-    for a in range(0, R.shape[0], step):
+    theta = np.empty(B, dtype=dtype)
+    ranks = np.empty(B, dtype=np.int8)
+    for a in range(0, B, step):
         th, rk = theta[a:a + step], ranks[a:a + step]
-        rank_iter = ranks_of(ctx, spec, R[a:a + step].reshape(-1, m, m), mus)
-        rk[:] = next(rank_iter)
+        rank_iter = ranks_of(a, mus)
+        rk[:] = next(rank_iter)[:len(rk)]
         kern.take(rk, out=th)
         for r in rank_iter:
-            th += fixed.take(r)
+            th += fixed.take(r[:len(th)])
     return theta, ranks
 
 
@@ -218,23 +246,23 @@ def _descent_bytes(ctx: FieldCtx, spec: AutSpec, M: np.ndarray, mus):
         yield rank_batch(ctx, shifted)
 
 
-def _descent_planes(ctx: FieldCtx, spec: AutSpec, M: np.ndarray, mus):
-    """The ranks of _descent_bytes on bit planes; p = 2 only."""
+def _descent_planes(ctx: FieldCtx, spec: AutSpec, P: np.ndarray, mus):
+    """The ranks of _descent_bytes on the planes P (t, m, m, W); p = 2 only.
+
+    One rank per lane, padding lanes included."""
     pf = ctx.planes
-    B, m = M.shape[:2]
-    P = pf.pack(np.moveaxis(M, 0, -1))                     # (t, m, m, W)
-    yield plane_rank(pf, P)[:B]
+    yield plane_rank(pf, P)
     N = S = P
     for _ in range(spec.order - 1):
         S = pf.sigma(S, spec)
         N = plane_matmul(pf, N, S)
-    diag = np.arange(m)
+    diag = np.arange(P.shape[1])
     for mu in mus:
         shifted = N.copy()
         for i in range(pf.t):           # mu I: all-ones words on mu's planes
             if mu >> i & 1:
                 shifted[i, diag, diag] ^= ~np.uint64(0)
-        yield plane_rank(pf, shifted)[:B]
+        yield plane_rank(pf, shifted)
 
 
 def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
@@ -276,12 +304,25 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
     line of the dual space (theta_batch's masks; its theta is asserted to
     equal the descent's) and "minimality" a zero set of rank < k - 1
     (subset_ranks).
+
+    For p = 2 the descent runs on class_planes_range, the planes of the
+    class counter, so a "theta" chunk builds no byte rows: its rank-1
+    classes are gathered from the planes.  The other kinds build the rows
+    of class_reps_range for their check, as odd p does for the descent.
     """
     b = _bundle(cfg)
-    R = class_reps_range(b.q, b.k, start, stop, dtype=b.ctx.dtype)
-    theta, rclass = theta_descent(b.ctx, b.spec, R)
-    rank1 = rclass == 1
-    rclass[rank1] = pairing_batch(b, R[rank1]) != 0     # singular: 0
+    ctx = b.ctx
+    R = None
+    if kind != "theta" or ctx.p != 2:
+        R = class_reps_range(b.q, b.k, start, stop, dtype=ctx.dtype)
+    if ctx.p == 2:
+        P = class_planes_range(ctx.planes, b.k, start, stop)
+        theta, rclass = _plane_descent(ctx, b.spec, P, stop - start)
+    else:
+        theta, rclass = theta_descent(ctx, b.spec, R)
+    rank1 = np.flatnonzero(rclass == 1)
+    R1 = ctx.planes.gather(P, rank1, ctx.dtype).T if R is None else R[rank1]
+    rclass[rank1] = pairing_batch(b, R1) != 0           # singular: 0
     keys = theta.astype(np.intp)
     keys *= b.m + 1
     keys += rclass

@@ -225,9 +225,13 @@ class _Sweep:
         self.chunk = bulk.DEFAULT_CHUNK
         chunks = bulk.iter_sweep(sys.cfg, {"kind": kind}, total,
                                  threads=threads, chunk=self.chunk)
-        tables = np.stack([res["table"] for res in chunks])
-        self.table = tables.sum(axis=0)
-        self.first = (tables > 0).argmax(axis=0) * self.chunk
+        # a running sum, and per cell the start of the first chunk (in
+        # submission order) that has a class in it; 0 where none has
+        self.table = self.first = 0
+        for res in chunks:
+            new = (res["table"] > 0) & (self.table == 0)
+            self.table = self.table + res["table"]
+            self.first = np.where(new, res["start"], self.first)
         assert self.table.sum() == total
         self.theta, self.rclass, self.bit = np.ix_(
             *(np.arange(d) for d in self.table.shape))

@@ -605,6 +605,16 @@ class Planes:
         return np.stack([np.packbits(pad & (1 << i), axis=-1, bitorder="little")
                          for i in range(self.t)]).view(_WORD)
 
+    def gather(self, a: np.ndarray, lanes: np.ndarray, dtype) -> np.ndarray:
+        """The elements at the batch positions lanes of planes a, batch
+        axis last: the inverse of pack on those lanes."""
+        lanes = np.asarray(lanes, dtype=np.intp)
+        bits = a[..., lanes >> 6] >> (lanes & 63).astype(_WORD) & 1
+        out = np.zeros(a.shape[1:-1] + lanes.shape, dtype=dtype)
+        for i in range(self.t):
+            out |= bits[i].astype(dtype) << i
+        return out
+
     @staticmethod
     def unpack_bits(mask: np.ndarray, count: int) -> np.ndarray:
         """The first count bits of a (..., W) word array, as uint8 0/1."""

@@ -9,7 +9,7 @@ from twistcode.code import (is_minimal, m_bound, max_theta_by_rank,
                             min_weight_sweep, random_nonzero_matrix,
                             second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
-from twistcode.projgeom import class_reps_range, num_classes
+from twistcode.projgeom import class_planes_range, class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -104,6 +104,12 @@ def _order_slice(ctx, k, where, count):
     return class_reps_range(ctx.q, k, start, start + count, dtype=ctx.dtype)
 
 
+def _byte_kernel_on_planes(ctx, spec, P, mus):
+    """_descent_bytes on the matrices of the planes P, padding lanes too."""
+    M = ctx.planes.gather(P, np.arange(64 * P.shape[-1]), ctx.dtype)
+    return bulk._descent_bytes(ctx, spec, np.moveaxis(M, -1, 0), mus)
+
+
 @pytest.mark.parametrize("cfg", [(2, 1, 0, 1), (2, 2, 1, 2), (2, 2, 0, 2),
                                  (2, 3, 1, 2), (2, 4, 2, 1), (2, 4, 0, 1),
                                  (2, 2, 1, 3), (2, 6, 1, 1), (2, 11, 1, 1)])
@@ -119,12 +125,54 @@ def test_plane_kernel_matches_the_byte_kernel(cfg, monkeypatch):
             R = _order_slice(ctx, k, where, count)
             got = bulk.theta_descent(ctx, spec, R)
             with monkeypatch.context() as mp:
-                mp.setattr(bulk, "_descent_planes", bulk._descent_bytes)
+                mp.setattr(bulk, "_descent_planes", _byte_kernel_on_planes)
                 want = bulk.theta_descent(ctx, spec, R)
             for g, w in zip(got, want):
                 assert g.shape == w.shape == (count,)
                 assert g.dtype == w.dtype
                 assert np.array_equal(g, w), (count, where)
+
+
+@pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (2, 3, 1, 2), (2, 4, 2, 1)])
+def test_class_keys_match_the_byte_route(cfg, monkeypatch):
+    # the byte route packs the rows of the class order and ranks them on
+    # bytes; a flag chunk reads its rank-1 classes off those rows, so with
+    # the check bit cleared its keys are the theta kind's, lane gather aside.
+    # The chunks start off the 64-lane grid, and the first ones hold
+    # singular and quasi-singular rank-1 classes
+    ps = system(*cfg)
+    q, k = ps.ctx.q, ps.k
+    total = num_classes(q, k)
+
+    def packed_rows(pf, k, start, stop):
+        return pf.pack(class_reps_range(q, k, start, stop).T)
+
+    rank1 = set()
+    for start, stop in ((0, 300), (101, 2101), (total - 777, total)):
+        with monkeypatch.context() as mp:
+            mp.setattr(bulk, "class_planes_range", packed_rows)
+            mp.setattr(bulk, "_descent_planes", _byte_kernel_on_planes)
+            want = bulk.class_keys(ps.cfg, "flag", start, stop)
+        for kind, keys in (("flag", want), ("theta", want & ~1)):
+            got = bulk.class_keys(ps.cfg, kind, start, stop)
+            assert got.dtype == keys.dtype
+            assert np.array_equal(got, keys), (kind, start, stop)
+        rank1 |= set((want // 2 % (ps.m + 1)).tolist()) & {0, 1}
+    assert rank1 == {0, 1}
+
+
+@pytest.mark.parametrize("t,k,start,count", [(3, 9, 1000, 200), (2, 4, 3, 82),
+                                             (11, 4, 7, 70), (1, 16, 3, 64)])
+def test_plane_gather_reads_the_class_rows(t, k, start, count):
+    # lanes in full words and in a partial last word, in any order
+    ctx = make_field(2, t)
+    P = class_planes_range(ctx.planes, k, start, start + count)
+    lanes = np.array([count - 1, 0, 1, 63, 64, count - 2, 65, 63])
+    lanes = lanes[lanes < count]
+    want = class_reps_range(ctx.q, k, start, start + count, dtype=ctx.dtype)
+    got = ctx.planes.gather(P, lanes, ctx.dtype)
+    assert got.dtype == want.dtype and got.shape == (k, len(lanes))
+    assert np.array_equal(got.T, want[lanes])
 
 
 def test_theta_descent_dispatches_on_the_characteristic(monkeypatch):
