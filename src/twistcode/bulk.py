@@ -393,24 +393,32 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
 # sampling
 # ---------------------------------------------------------------------------
 
-def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
-    """Fixed-functional counts of `count` seeded random nonzero matrices.
+def nonzero_draws(ctx: FieldCtx, k: int, count: int,
+                  rng: SplitMix64) -> np.ndarray:
+    """The next `count` seeded random nonzero rows of k field elements.
 
-    The draws are those of code.random_nonzero_matrix, taken in blocks;
-    theta comes from theta_descent.
+    The draws are those of code.random_nonzero_matrix, taken in blocks:
+    the rows of k below(q) draws each, all-zero rows rejected.  A rejected
+    row uses up its k words, so drawing only what is missing keeps the
+    stream position of the one-draw-at-a-time loop, and calls on one rng
+    continue its stream.
     """
-    p, t, modulus, j, n = cfg
-    ctx = make_field(p, t, modulus)
-    spec = make_autspec(ctx, j)
-    q, k = ctx.q, (n + 1) ** 2
-    rng = SplitMix64(seed)
-    # the rows of k below(q) draws each, all-zero rows rejected; a rejected
-    # row uses up its k words, so drawing only what is missing keeps the
-    # stream position of the one-draw-at-a-time loop
+    q = ctx.q
     draws = np.empty((0, k), dtype=ctx.dtype)
     while len(draws) < count:
         words = rng.words((count - len(draws)) * k) % q
         rows = words.astype(ctx.dtype).reshape(-1, k)
         draws = np.concatenate([draws, rows[rows.any(axis=1)]])
-    return theta_descent(ctx, spec, draws)[0].astype(np.int64)
+    return draws
 
+
+def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
+    """Fixed-functional counts of `count` seeded random nonzero matrices.
+
+    The draws are those of nonzero_draws; theta comes from theta_descent.
+    """
+    p, t, modulus, j, n = cfg
+    ctx = make_field(p, t, modulus)
+    spec = make_autspec(ctx, j)
+    draws = nonzero_draws(ctx, (n + 1) ** 2, count, SplitMix64(seed))
+    return theta_descent(ctx, spec, draws)[0].astype(np.int64)

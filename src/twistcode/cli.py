@@ -275,14 +275,12 @@ def _cmd_fpf(args) -> dict:
     w = hp.find_fpf_collineation(ps)
     return {
         "config": _config_payload(ps),
-        "seed": None,
+        "seed": hp.FPF_SEED,
         "matrix": w.matrix.tolist(),
         "type": w.kind,
         "theta": w.theta,
         "weight": w.weight,
         "cardinality": w.cardinality,
-        "model_degree": w.model_degree,
-        "omega_power": w.omega_power,
         "attempts": w.attempts,
     }
 
@@ -369,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--attempts", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
 
-    sub("fpf", "build a fixed-point-free twist via the field model")
+    sub("fpf", "find a fixed-point-free twist (theta 0, maximum weight)")
 
     s = sub("autcheck", "randomized monomial-action verification")
     s.add_argument("--trials", type=int, default=1000)

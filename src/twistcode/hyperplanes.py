@@ -21,14 +21,13 @@ spread_type_cardinality.
 
 The two constructive searches live here too: find_spread (which tries
 the natural candidates with sigma(M) M = I and, by the argument above,
-always exhausts its budget) and find_fpf_collineation (which builds a
-fixed-point-free twist through a field model of the dual space when the
-arithmetic allows one).
+always exhausts its budget) and find_fpf_collineation (a seeded search
+through bulk.theta_descent for a theta = 0 class, the words of maximum
+weight, which exist for every n >= 1 and sigma != 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NoReturn
 
@@ -38,9 +37,9 @@ from . import bulk
 from . import code as code_ops
 from .embedding import ProjectiveSystem
 from .gamma import base_cardinality
-from .gf import FieldCtx, make_field
+from .gf import FieldCtx
 from .linalg import (as_matrix, dot, invert, is_scalar_matrix, matmul, rank,
-                     rank1_factor, sigma_entrywise, vecmat)
+                     rank1_factor, sigma_entrywise)
 from .projgeom import class_index, normalize_tuple
 from .rng import SplitMix64
 
@@ -224,8 +223,12 @@ def find_spread(sys: ProjectiveSystem, attempts: int = 1000,
 
 
 # ---------------------------------------------------------------------------
-# fixed-point-free twists via a field model
+# fixed-point-free twists
 # ---------------------------------------------------------------------------
+
+FPF_SEED = 0xF1E1D
+_FPF_BLOCK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class FpfWitness:
@@ -233,159 +236,51 @@ class FpfWitness:
     theta: int
     weight: int
     cardinality: int
-    model_degree: int          # degree of the field model over the prime field
-    omega_power: int           # the twist multiplier as a power of the generator
-    attempts: int              # multipliers tested before this one worked
+    attempts: int              # candidates drawn, the witness included
     kind: str                  # classification of the resulting hyperplane
 
 
-class _FieldModel:
-    """F_q^m realized as the degree-m extension field, with coordinates.
-
-    Elements of the big field K are identified with row vectors over F_q
-    through the basis 1, beta, ..., beta^(m-1) (beta a generator of K^*),
-    and F_q sits inside K through the smallest root of its defining
-    polynomial.  Coordinate extraction solves one prime-field linear
-    system, inverted once.
-    """
-
-    def __init__(self, ctx: FieldCtx, m: int):
-        self.ctx = ctx
-        self.m = m
-        deg = ctx.t * m
-        self.K = make_field(ctx.p, deg)
-        K, p = self.K, ctx.p
-
-        # embed F_q: find the smallest root of ctx's modulus inside K
-        step = (K.q - 1) // (ctx.q - 1)
-        coeffs = ctx.modulus          # list over F_p, degree t
-        roots = []
-        for i in range(ctx.q - 1):
-            z = K.pow(K.gen, i * step) if i else 1
-            acc = 0
-            for c in reversed(coeffs):
-                acc = K.add(K.mul(acc, z), c % p)
-            if acc == 0:
-                roots.append(z)
-        if not roots:
-            raise ValueError("defining polynomial has no root in the model")
-        root = min(roots)
-        self.phi = np.zeros(ctx.q, dtype=np.int64)
-        for a in range(ctx.q):
-            digits = ctx.digits(a)
-            acc = 0
-            for d in reversed(digits):
-                acc = K.add(K.mul(acc, root), d)
-            self.phi[a] = acc
-        assert self.phi[1] == 1
-        sample = min(ctx.q, 64)
-        for a in range(sample):
-            for b in range(sample):
-                assert self.phi[ctx.add(a, b)] == K.add(
-                    int(self.phi[a]), int(self.phi[b]))
-                assert self.phi[ctx.mul(a, b)] == K.mul(
-                    int(self.phi[a]), int(self.phi[b]))
-
-        self.basis = [K.pow(K.gen, i) for i in range(m)]
-
-        # prime-field transition matrix: columns are the K-digit vectors of
-        # phi(y^d) * beta^i, one per (i, d) coordinate of F_q^m over F_p
-        self.pf = make_field(p, 1)
-        T = ctx.t * m
-        cols = []
-        for i in range(m):
-            for d in range(ctx.t):
-                v = K.mul(int(self.phi[p ** d]), self.basis[i])
-                cols.append(K.digits(v))
-        Tm = np.array(cols, dtype=self.pf.dtype).T
-        assert Tm.shape == (T, T)
-        self.Tinv = invert(self.pf, Tm)
-        self.deg = T
-
-    def to_field(self, x) -> int:
-        acc = 0
-        for i, e in enumerate(x):
-            acc = self.K.add(acc, self.K.mul(int(self.phi[int(e)]),
-                                             self.basis[i]))
-        return acc
-
-    def coords(self, v: int) -> np.ndarray:
-        dv = np.array(self.K.digits(v), dtype=self.pf.dtype)
-        c = matmul(self.pf, self.Tinv, dv[:, None])[:, 0]
-        out = np.zeros(self.m, dtype=self.ctx.dtype)
-        for i in range(self.m):
-            val = 0
-            for d in reversed(range(self.ctx.t)):
-                val = val * self.ctx.p + int(c[i * self.ctx.t + d])
-            out[i] = val
-        return out
-
-
 def find_fpf_collineation(sys: ProjectiveSystem,
-                          max_multipliers: int = 200) -> FpfWitness:
-    """Build a matrix whose dual twist map has no fixed functional.
+                          attempts: int = 4096) -> FpfWitness:
+    """Find a matrix whose dual twist map has no fixed functional.
 
-    Models the dual row space as the field K of degree n+1 over F_q and
-    realizes xi |-> sigma^(-1)(xi M) as v |-> omega v^(p^(t-j)) on K.
-    With omega a generator of K^* this map is fixed-point free exactly
-    when the multiplier falls outside the power-times-scalar subgroup,
-    which the arithmetic precondition
+    Draws seeded random nonzero matrices (bulk.nonzero_draws, seed
+    FPF_SEED) in blocks of 64, takes theta from bulk.theta_descent and
+    returns the first class with theta = 0: the one of maximum weight
+    q^(n-1) (q^(n+1)-1)/(q-1).  classify verifies it: the functional scan
+    of code.theta with its identity check, which must give theta 0 as
+    the descent did, the one-or-all line test on small geometries, and
+    the spread-type flag count.
 
-        gcd((q^(n+1)-1)/(q-1), p^j - 1) > 1
-
-    makes possible; configurations failing it admit no fixed-point-free
-    twist at all and raise ValueError.  The construction is verified on
-    the spot: semilinearity on random vectors, then a full scan asserting
-    theta(M) = 0.
+    By the descent formula theta(M) = 0 exactly when M is invertible and
+    N(M) = M sigma(M) ... sigma^(e-1)(M) has no eigenvalue in the fixed
+    field F_s.  By Lang-Shintani N(M) runs through the classes of
+    GL_m(s), the companion matrix of an irreducible polynomial of degree
+    m >= 2 over F_s among them, so such classes exist for every n >= 1
+    and sigma != 1; between a fifth and a third of random matrices
+    qualify at every configuration tried.  The identity twist fixes every
+    functional (ValueError); SearchBudgetExhausted after `attempts`
+    candidates without a witness.
     """
     ctx, spec = sys.ctx, sys.spec
     if spec.j == 0:
         raise ValueError("the identity twist fixes every functional")
-    q, n = ctx.q, sys.n
-    pts = (q ** (n + 1) - 1) // (q - 1)
-    g = math.gcd(pts, ctx.p ** spec.j - 1)
-    if g == 1:
-        raise ValueError(
-            f"gcd((q^{n + 1}-1)/(q-1), p^j-1) = 1 for q={q}, n={n}, "
-            f"j={spec.j}: every twist of this shape fixes a functional")
-    if ctx.t * sys.m > 16:
-        raise ValueError("field model exceeds the supported degree")
-
-    model = _FieldModel(ctx, sys.m)
-    K = model.K
-    jinv = (ctx.t - spec.j) % ctx.t
-    exp = ctx.p ** jinv if jinv else 1
-    rng = SplitMix64(0xF1E1D)
-
-    tried = 0
-    for e in range(1, max_multipliers + 1):
-        if math.gcd(e, K.q - 1) != 1:
-            continue
-        tried += 1
-        omega = K.pow(K.gen, e)
-        M = np.zeros((sys.m, sys.m), dtype=ctx.dtype)
-        for i in range(sys.m):
-            M[i] = model.coords(K.mul(omega, K.pow(model.basis[i], exp)))
-        # semilinearity spot checks: coords(omega v^(p^(t-j))) = sigma^(-1)(x) M
-        for _ in range(32):
-            x = np.array(rng.elements(q, sys.m), dtype=ctx.dtype)
-            if not x.any():
-                continue
-            v = model.to_field(x)
-            lhs = model.coords(K.mul(omega, K.pow(v, exp)))
-            rhs = vecmat(ctx, spec.inv_table[x].astype(ctx.dtype), M)
-            assert np.array_equal(lhs, rhs), "field model is not semilinear"
-        rep = code_ops.theta(sys, M)
-        if rep.theta == 0:
-            # the map is fixed-point free, so the class is plain with the
-            # flag count of the spread-type cardinality
-            hp = classify(sys, M)
-            assert hp.theta == 0
-            assert hp.cardinality == spread_type_cardinality(q, n)
-            return FpfWitness(matrix=M, theta=0, weight=rep.weight,
-                              cardinality=rep.intersection,
-                              model_degree=model.deg, omega_power=e,
-                              attempts=tried, kind=hp.kind)
+    rng = SplitMix64(FPF_SEED)
+    drawn = 0
+    while drawn < attempts:
+        R = bulk.nonzero_draws(ctx, sys.k, min(_FPF_BLOCK, attempts - drawn),
+                               rng)
+        free = np.flatnonzero(bulk.theta_descent(ctx, spec, R)[0] == 0)
+        if len(free):
+            i = int(free[0])
+            hp = classify(sys, R[i].reshape(sys.m, sys.m))
+            assert hp.theta == 0, \
+                f"descent theta 0 but the scan gives {hp.theta}"
+            assert hp.cardinality == spread_type_cardinality(ctx.q, sys.n)
+            return FpfWitness(matrix=hp.matrix, theta=0, weight=hp.weight,
+                              cardinality=hp.cardinality,
+                              attempts=drawn + i + 1, kind=hp.kind)
+        drawn += len(R)
     raise SearchBudgetExhausted(
-        f"no fixed-point-free multiplier among {max_multipliers} generator "
-        f"powers", attempts=max_multipliers, seed=0)
+        f"no fixed-point-free class among {attempts} candidates "
+        f"(seed {FPF_SEED})", attempts=attempts, seed=FPF_SEED)

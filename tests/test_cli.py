@@ -6,10 +6,12 @@ import os
 import subprocess
 import sys
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcode.cli import main
 from twistcode.projgeom import class_reps_range
@@ -284,10 +286,40 @@ def test_fpf_witness_payload():
     assert out["theta"] == 0
     assert out["weight"] == 10
     assert out["cardinality"] == 0
-    assert out["model_degree"] == 4
+    assert out["seed"] == 0xF1E1D
+    assert out["attempts"] >= 1
+    assert "model_degree" not in out and "omega_power" not in out
+    nf = naive_ref.make_naive(9)
+    assert naive_ref.naive_theta(nf, 1, out["matrix"]) == 0
     assert out["type"] in ("plain", "spread_type")
+    # gcd((4^2-1)/3, 2-1) = 1, and the witness exists all the same
     code, out = run("fpf", "--q", "4", "--j", "1", "--n", "1")
-    assert code == 2
+    assert code == 0
+    assert out["theta"] == 0
+    assert out["weight"] == 5
+    assert naive_ref.naive_theta(naive_ref.make_naive(4), 1,
+                                 out["matrix"]) == 0
+
+
+@given(st.sampled_from([4, 8, 9, 16, 25, 27]).flatmap(
+           lambda q: st.tuples(st.just(q),
+                               st.integers(0, prime_power(q)[1] - 1))),
+       st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=5000)
+def test_fpf_argv_fuzz(qj, n):
+    q, j = qj
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run("fpf", "--q", str(q), "--j", str(j), "--n", str(n))
+    assert isinstance(out, dict), out
+    assert "Traceback" not in err.getvalue()
+    if j == 0:
+        assert code == 2
+        assert out["error"]["type"] == "ValueError"
+        return
+    assert code == 0
+    assert out["theta"] == 0
+    assert out["weight"] == q ** (n - 1) * (q ** (n + 1) - 1) // (q - 1)
 
 
 def test_autcheck_smoke():

@@ -1,5 +1,8 @@
 """Hyperplane classification, cardinalities and the two searches."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,9 @@ from twistcode import (SearchBudgetExhausted, base_cardinality, classify,
                        find_fpf_collineation, find_spread, norm_proportional,
                        phi_fixed_points, quasi_singular_cardinality,
                        singular_cardinality, spread_type_cardinality, theta)
-from twistcode.code import random_invertible, random_nonzero_matrix
+from twistcode.code import (random_invertible, random_nonzero_matrix,
+                            weight_spectrum)
+from twistcode.hyperplanes import FPF_SEED
 from twistcode.linalg import pure_tensor
 from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
@@ -197,26 +202,78 @@ def test_norm_proportional_lines_fix_the_subfield_line(cfg, count):
         assert h.theta == s + 1
 
 
-def test_find_fpf_small_success():
-    ps = system(3, 2, 1, 1)                    # gcd(10, 2) = 2
+def _fpf_witness(ps):
+    """find_fpf_collineation's witness, checked against the brute force."""
     w = find_fpf_collineation(ps)
-    assert w.theta == 0
+    q, n = ps.ctx.q, ps.n
+    nf = naive_ref.make_naive(q)
+    assert naive_ref.naive_theta(nf, ps.spec.j, w.matrix.tolist()) == 0
+    assert w.theta == theta(ps, w.matrix).theta == 0
+    assert w.weight == q ** (n - 1) * (q ** (n + 1) - 1) // (q - 1)
+    assert w.cardinality == ps.N - w.weight == spread_type_cardinality(q, n)
+    assert w.kind == "plain"
+    return w
+
+
+def test_find_fpf_small_success():
+    ps = system(3, 2, 1, 1)
+    w = _fpf_witness(ps)
     assert w.weight == ps.N == 10              # every coordinate nonzero
     assert w.cardinality == base_cardinality(9, 1) == 0
-    assert w.model_degree == 4
-    assert theta(ps, w.matrix).theta == 0
+    # the witness is the first theta = 0 matrix of the one-at-a-time draws
+    rng = SplitMix64(FPF_SEED)
+    for drawn in range(1, w.attempts + 1):
+        M = random_nonzero_matrix(ps.ctx, ps.m, rng)
+        assert (theta(ps, M).theta == 0) == (drawn == w.attempts)
+    assert np.array_equal(M, w.matrix)
+
+
+def test_find_fpf_budget():
+    ps = system(3, 2, 1, 1)
+    w = find_fpf_collineation(ps)
+    assert w.attempts > 1
+    with pytest.raises(SearchBudgetExhausted) as exc:
+        find_fpf_collineation(ps, attempts=w.attempts - 1)
+    assert exc.value.attempts == w.attempts - 1
+    assert exc.value.seed == FPF_SEED
 
 
 def test_find_fpf_larger_success():
-    ps = system(2, 4, 2, 1)                    # q=16, sigma=x^4, gcd(17, 3)=1?
-    # gcd((16^2-1)/15, 2^2-1) = gcd(17, 3) = 1: no twist can be free
-    with pytest.raises(ValueError):
-        find_fpf_collineation(ps)
+    # q = 16, sigma = x^4: gcd((16^2-1)/15, 2^2-1) = gcd(17, 3) = 1, and a
+    # fixed-point-free twist exists all the same
+    _fpf_witness(system(2, 4, 2, 1))
 
 
 def test_find_fpf_gate():
+    # configurations with gcd((q^(n+1)-1)/(q-1), p^j-1) = 1 have witnesses
     for cfg in [(2, 2, 1, 3), (2, 2, 1, 2), (3, 2, 1, 2)]:
-        with pytest.raises(ValueError):
-            find_fpf_collineation(system(*cfg))
+        _fpf_witness(system(*cfg))
     with pytest.raises(ValueError):
         find_fpf_collineation(system(2, 2, 0, 1))   # identity twist
+
+
+def _gl_order(q, m):
+    return math.prod(q ** m - q ** i for i in range(m))
+
+
+@pytest.mark.parametrize("cfg", [
+    (2, 2, 1, 2), (2, 2, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1), (5, 2, 1, 1),
+    (3, 3, 1, 1), (2, 4, 1, 1), (2, 4, 2, 1)],
+    ids=["q4n2", "q4n1", "q8n1", "q9n1", "q25n1", "q27n1", "q16n1j1",
+         "q16n1j2"])
+def test_maximum_weight_multiplicity(cfg):
+    # theta = 0 is the maximum weight; by Lang-Shintani its words number
+    # |GL_m(q)| D_m(s) / |GL_m(s)|, D_m(s) the matrices of GL_m(s) with no
+    # eigenvalue in F_s
+    ps = system(*cfg)
+    q, n, m, s = ps.ctx.q, ps.n, ps.m, ps.spec.s
+    share = {2: Fraction(s, 2 * (s + 1)),
+             3: Fraction(s ** 3 - s, 3 * (s ** 3 - 1))}[m]
+    counts = weight_spectrum(ps, flag_check=False).counts
+    wmax = q ** (n - 1) * (q ** (n + 1) - 1) // (q - 1)
+    assert max(counts) == wmax
+    assert counts[wmax] == _gl_order(q, m) * share
+    if (q, n) == (4, 2):
+        assert counts[wmax] == 51_840
+    if (q, n) == (27, 1):
+        assert counts[wmax] == 191_646
