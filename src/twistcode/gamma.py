@@ -133,7 +133,13 @@ class Gamma:
         y, li = _incident_pairs(inc, pg)
         pencils = self.flag_indices(pg[li], y[:, None]).astype(np.int32)
         assert (pencils >= 0).all(), "pencil member not a flag"
-        transpose = self.flag_indices(self.func_idx, self.point_idx).astype(np.int32)
+        # flags are in (functional, point) order, so a stable sort by point
+        # lists them in (point, functional) order: the order of the keys of
+        # their transposes, which are the flags again
+        transpose = np.empty(self.N, dtype=np.int32)
+        transpose[np.argsort(self.point_idx.astype(np.min_scalar_type(P)),
+                             kind="stable")] = np.arange(self.N)
+        assert (self.func_idx[transpose] == self.point_idx).all()
         # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
         per_family = len(pg) * (q ** (self.n - 1) - 1) // (q - 1)
         assert len(pencils) == per_family, (len(pencils), per_family)
@@ -151,10 +157,14 @@ class Gamma:
 
         Returns (True, None) if each line either lies inside the set or
         meets it in exactly one flag; otherwise (False, first bad line).
-        Raises ValueError for flag indices outside the geometry.
+        The flags may come as an integer array, or as any iterable of
+        indices and Flag objects.  Raises ValueError for flag indices
+        outside the geometry.
         """
-        idx = np.array([f.index if isinstance(f, Flag) else int(f)
-                        for f in flagset], dtype=np.int64)
+        if not isinstance(flagset, np.ndarray):
+            flagset = [f.index if isinstance(f, Flag) else int(f)
+                       for f in flagset]
+        idx = np.asarray(flagset, dtype=np.int64)
         bad = idx[(idx < 0) | (idx >= self.N)]
         if bad.size:
             raise ValueError(f"flag index {int(bad[0])} outside the geometry")
@@ -186,7 +196,10 @@ def _incident_pairs(inc: np.ndarray, lines: np.ndarray):
         ls.append(li + lo)
         ys.append(y)
     li, y = np.concatenate(ls), np.concatenate(ys)
-    order = np.lexsort((li, y))
+    # nonzero is line-major, so a stable sort by y alone orders by (y, line);
+    # keys of 16 bits or fewer radix-sort
+    order = np.argsort(y.astype(np.min_scalar_type(inc.shape[1])),
+                       kind="stable")
     return y[order], li[order]
 
 

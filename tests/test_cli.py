@@ -1,5 +1,6 @@
 """Command-line interface: payload schemas, formats, and exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -387,6 +388,27 @@ def test_lines_summary_and_csv():
     assert rows[0] == "family,flags"
     assert len(rows) - 1 == out["count"]
     assert all(len(r.split(",")[1].split()) == 5 for r in rows[1:])
+
+
+# sha256 of the `lines` stdout: its rows, their order and the family
+# split are part of the CLI contract
+LINES_SHA256 = {
+    ("2", "csv"): "0e80b47a9fae6041b84ed34ae7875df274cc1b067b71e01c9f719564cbc5004a",
+    ("2", "json"): "615965c1674369ccaf2b9eff74fef381399a619701edc6a7e53070a6ef538700",
+    ("3", "csv"): "f43be88956fa4bf3f7157e881a7d175d50b57e2eca9fce6a7776b96de5476390",
+    ("3", "json"): "ae3b21f2ff08c4e04c270e0b395576270aca5fcadd05bf289633f04aa3847a8c",
+}
+
+
+@pytest.mark.parametrize("n,fmt", sorted(LINES_SHA256))
+def test_lines_stdout_is_pinned(n, fmt):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(["lines", "--q", "4", "--j", "1", "--n", n,
+                     "--format", fmt])
+    assert code == 0
+    digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    assert digest == LINES_SHA256[n, fmt]
 
 
 def test_bad_field_is_a_usage_error():

@@ -1,9 +1,12 @@
 """The flag geometry: counts, ordering, line families, hyperplane test."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from twistcode import build_gamma, flag_count, make_field
+from twistcode import build_gamma, eval_codeword, flag_count, make_field
+from twistcode.gamma import Gamma
 
 import naive_ref
 from helpers import prime_power, system
@@ -57,7 +60,6 @@ def test_flag_indices_match_a_dict_of_the_flags():
 def test_a_fresh_gamma_builds_no_flag_objects():
     # the Flag list is built on first access only, and neither the line
     # arrays nor the hyperplane test ask for it
-    from twistcode.gamma import Gamma
     g = Gamma(make_field(3, 2), 3)
     assert "flags" not in g.__dict__
     assert not g.is_geometric_hyperplane(range(10))[0]
@@ -105,7 +107,6 @@ def test_line_families():
 
 
 def test_hyperplane_one_or_all():
-    from twistcode import eval_codeword
     ps = system(2, 2, 1, 2)
     g = ps.gamma
     E12 = np.zeros((3, 3), dtype=ps.ctx.dtype)
@@ -126,7 +127,6 @@ def test_hyperplane_one_or_all():
 @pytest.mark.parametrize("n", [2, 3])
 def test_first_offender_matches_a_line_scan(n):
     # the batched one-or-all test against a walk over g.lines()
-    from twistcode import eval_codeword
     ps = system(2, 2, 1, n)
     g = ps.gamma
     E12 = np.zeros((n + 1, n + 1), dtype=ps.ctx.dtype)
@@ -139,6 +139,83 @@ def test_first_offender_matches_a_line_scan(n):
                     if len(flagset.intersection(ln.flags))
                     not in (1, ps.ctx.q + 1))
         assert g.is_geometric_hyperplane(flagset) == (False, scan)
+
+
+def _walk(g, flagset):
+    """The one-or-all test as a walk over g.lines(), in their order."""
+    inside = set(flagset)
+    for ln in g.lines():
+        if len(inside.intersection(ln.flags)) not in (1, g.ctx.q + 1):
+            return False, ln
+    return True, None
+
+
+@pytest.mark.parametrize("q,n", [(3, 1), (2, 2), (4, 2), (3, 3), (4, 3)])
+def test_one_or_all_matches_a_walk_over_the_lines(q, n):
+    p, t = prime_power(q)
+    ps = system(p, t, min(t - 1, 1), n)
+    g, m = ps.gamma, n + 1
+    mats = []
+    for i, j in [(0, 0), (0, 1)]:
+        E = np.zeros((m, m), dtype=ps.ctx.dtype)
+        E[i, j] = 1
+        mats.append(E)
+    R = np.random.default_rng(100 * q + n).integers(0, q, (m, m))
+    R[0, 0] = 1
+    mats.append(R.astype(ps.ctx.dtype))
+    zero_sets = [np.flatnonzero(eval_codeword(ps, M).values == 0)
+                 for M in mats]
+    # the flags whose point lies on hyperplane 0 meet every point pencil in
+    # 1 or q + 1 flags, and a hyperplane pencil through a point off it in 0
+    on_h0 = np.isin(g.point_idx, g.point_idx[g.func_idx == 0])
+    failing = [z[1:] for z in zero_sets] + [
+        np.flatnonzero(g.func_idx == 0), np.flatnonzero(on_h0)]
+    for flagset in zero_sets + failing:
+        want = _walk(g, flagset.tolist())
+        assert g.is_geometric_hyperplane(flagset) == want
+        assert g.is_geometric_hyperplane(set(flagset.tolist())) == want
+    assert g.is_geometric_hyperplane(
+        [g.flags[i] for i in failing[0]]) == _walk(g, failing[0].tolist())
+    for z in zero_sets:
+        assert g.is_geometric_hyperplane(z) == (True, None)
+    if n == 1:
+        assert g.line_flags()[0].shape == (0, q + 1)
+        for flagset in failing:
+            assert g.is_geometric_hyperplane(flagset) == (True, None)
+        return
+    for flagset in failing:
+        assert not g.is_geometric_hyperplane(flagset)[0]
+    ok, line = g.is_geometric_hyperplane(np.flatnonzero(on_h0))
+    assert line.family == "hyperplane-pencil"
+
+
+def test_flag_indices_outside_the_geometry_are_refused():
+    g = build_gamma(make_field(2, 2), 2)
+    for bad in (np.array([0, g.N]), [-1], {3, g.N + 5}, range(g.N + 1)):
+        with pytest.raises(ValueError):
+            g.is_geometric_hyperplane(bad)
+
+
+# sha256 of line_flags()'s int32 rows, and the point-pencil count
+LINE_FLAGS_SHA256 = {
+    (3, 3): ("b6e1c2e3d8d465bed68447de4d79a5fee849ef2a5c1bc23a7f0f67fc4c39db7b",
+             520),
+    (4, 2): ("9e20511fddb59fdaa50b6bd0bdb642ec5193faa63ab2f30d4a61fed512d9aff5",
+             21),
+    (4, 3): ("e071022fe51a1089410e26fe9cdf379a8a4ea09f345d90de48accdc525493fc1",
+             1785),
+    (9, 3): ("13e8ac0fea5d0ff95e5f377900bb3bf0c15ef4c1f69995094708720547de28b8",
+             74620),
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(LINE_FLAGS_SHA256))
+def test_line_flags_bytes_are_pinned(q, n):
+    g = build_gamma(make_field(*prime_power(q)), n)
+    flags, npp = g.line_flags()
+    assert flags.dtype == np.int32 and flags.shape[1] == q + 1
+    assert (hashlib.sha256(flags.tobytes()).hexdigest(), npp) == \
+        LINE_FLAGS_SHA256[q, n]
 
 
 def test_size_cap_and_bad_n():
