@@ -18,7 +18,7 @@ from typing import NoReturn
 from . import code as code_ops
 from . import hyperplanes as hp
 from .embedding import build_system
-from .gamma import FAMILIES, base_cardinality, flag_count
+from .gamma import FAMILIES, base_cardinality, build_gamma, flag_count
 from .gf import make_autspec, make_field
 from .projgeom import POINT_CAP, num_classes
 
@@ -305,8 +305,9 @@ def _cmd_autcheck(args) -> dict:
 
 
 def _cmd_lines(args) -> dict | str:
-    ps = _system(args)
-    flags, npp = ps.gamma.line_flags()
+    # the lines of Gamma do not depend on sigma: no system is built
+    profile = _profile(args, allow_identity=True)
+    flags, npp = build_gamma(profile.ctx, profile.n).line_flags()
     blocks = dict(zip(FAMILIES, (flags[:npp], flags[npp:])))
     if args.format == "csv":
         rows = ["family,flags"]
@@ -315,10 +316,10 @@ def _cmd_lines(args) -> dict | str:
             rows += [fmt % tuple(row) for row in block.tolist()]
         return "\n".join(rows) + "\n"
     return {
-        "config": _config_payload(ps),
+        "config": _config_payload(profile),
         "count": len(flags),
         "families": {f: len(b) for f, b in blocks.items() if len(b)},
-        "flags_per_line": ps.ctx.q + 1,
+        "flags_per_line": profile.ctx.q + 1,
     }
 
 

@@ -27,6 +27,7 @@ from .projgeom import POINT_CAP, ProjClass, enumerate_pg, line_array
 
 FLAG_CAP = POINT_CAP
 _PAIR_BLOCK = 1 << 22     # entries per block of the incidence tests
+_LOOKUP_BLOCK = 1 << 16   # entries per block of the line rows and lookups
 FAMILIES = ("point-pencil", "hyperplane-pencil")   # the two line families
 
 
@@ -131,8 +132,9 @@ class Gamma:
         # (p, S), S cut out by a dual line.  The flag transpose
         # (x, xi) -> (xi, x) maps the one onto the other, rows kept ascending
         y, li = _incident_pairs(inc, pg)
-        pencils = self.flag_indices(pg[li], y[:, None]).astype(np.int32)
-        assert (pencils >= 0).all(), "pencil member not a flag"
+        # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
+        npp = len(pg) * (q ** (self.n - 1) - 1) // (q - 1)
+        assert len(y) == npp, (len(y), npp)
         # flags are in (functional, point) order, so a stable sort by point
         # lists them in (point, functional) order: the order of the keys of
         # their transposes, which are the flags again
@@ -140,10 +142,17 @@ class Gamma:
         transpose[np.argsort(self.point_idx.astype(np.min_scalar_type(P)),
                              kind="stable")] = np.arange(self.N)
         assert (self.func_idx[transpose] == self.point_idx).all()
-        # both families have (#lines of PG) * (q^(n-1)-1)/(q-1) members
-        per_family = len(pg) * (q ** (self.n - 1) - 1) // (q - 1)
-        assert len(pencils) == per_family, (len(pencils), per_family)
-        self._line_flags = np.concatenate([pencils, transpose[pencils]]), len(pencils)
+        # the lookups go in blocks of rows straight into the result, so no
+        # int64 index array of all the pencil members is ever whole
+        flags = np.empty((2 * npp, q + 1), dtype=np.int32)
+        step = max(1, _LOOKUP_BLOCK // (q + 1))
+        for lo in range(0, npp, step):
+            hi = min(lo + step, npp)
+            rows = flags[lo:hi]
+            rows[...] = self.flag_indices(pg[li[lo:hi]], y[lo:hi, None])
+            assert (rows >= 0).all(), "pencil member not a flag"
+            flags[npp + lo:npp + hi] = transpose[rows]
+        self._line_flags = flags, npp
         return self._line_flags
 
     def lines(self) -> list[GammaLine]:
@@ -188,7 +197,7 @@ def _incident_pairs(inc: np.ndarray, lines: np.ndarray):
     two members, which span it.  The lines go in blocks, so no lines x y
     array is ever whole.
     """
-    step = max(1, _PAIR_BLOCK // inc.shape[1])
+    step = max(1, _LOOKUP_BLOCK // inc.shape[1])
     ls, ys = [], []
     for lo in range(0, len(lines), step):
         block = lines[lo:lo + step]

@@ -17,8 +17,9 @@ The scalar and array arithmetic is table based.  A FieldCtx carries
 
 Scalar add is XOR for p = 2 and Zech for odd p, scalar mul is exp/log,
 at every q.  The array operations add_np, mul_np and sum_np (the field
-sum along one axis) read the q x q tables up to q = 1024; above it they
-add by XOR (p = 2) or Zech and multiply through exp/log.  Other modules
+sum along one axis) read the q x q tables up to q = 1024, with gathers
+in blocks of _GATHER_BLOCK entries; above it they add by XOR (p = 2) or
+Zech and multiply through exp/log.  Other modules
 go through them and the scalar operations; none reads the q x q tables.
 For p = 2, FieldCtx.planes (a Planes, built on first use) adds bit-plane
 arithmetic on 64 elements per machine word, with no tables at all.
@@ -41,6 +42,7 @@ from .rng import SplitMix64
 Q_CAP = 1 << 16          # largest supported field size
 _FULL_TABLE_CAP = 1024   # build q x q tables up to this size
 _AXIOM_EXHAUSTIVE_CAP = 512
+_GATHER_BLOCK = 1 << 16  # entries per block of a table gather
 
 # Default moduli, coefficients low degree first, leading 1 included.
 # Each is primitive: the class of y generates the multiplicative group
@@ -192,6 +194,18 @@ def _search_primitive_modulus(p: int, t: int) -> tuple[int, ...]:
 # field context
 # ---------------------------------------------------------------------------
 
+def _field_size(p: int, t: int) -> int:
+    """q = p^t; ValueError unless p is prime, t >= 1 and q <= Q_CAP."""
+    if not _is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    q = p ** t
+    if q > Q_CAP:
+        raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
+    return q
+
+
 class FieldCtx:
     """Tables and scalar operations for one finite field.
 
@@ -200,22 +214,9 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if t < 1:
-            raise ValueError(f"t must be >= 1, got {t}")
-        q = p ** t
-        if q > Q_CAP:
-            raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
-
+        q = _field_size(p, t)
         if modulus is None:
-            if t == 1:
-                g = _smallest_primitive_root(p)
-                modulus = ((-g) % p, 1)
-            elif (p, t) in DEFAULT_MODULI:
-                modulus = DEFAULT_MODULI[(p, t)]
-            else:
-                modulus = _search_primitive_modulus(p, t)
+            modulus = _default_modulus(p, t)
         else:
             modulus = tuple(int(c) for c in modulus)
             if len(modulus) != t + 1 or modulus[t] != 1:
@@ -423,13 +424,42 @@ class FieldCtx:
 
     # -- vector operations (numpy arrays of encodings) ------------------------
 
+    def _gather(self, table: np.ndarray, a, b):
+        """table[a, b] over the broadcast shape of a and b.
+
+        A flat take at a * q + b beats table[a, b] by 1.5-3x from ~10^3
+        entries, but its index costs 8 bytes per entry.  So above
+        _GATHER_BLOCK entries the take goes in blocks of that many, into one
+        preallocated output, and no call holds more than one block of index.
+        Smaller gathers stay one take: the block iterator costs about 10 us,
+        more than a small take itself.
+        """
+        flat = table.ravel()
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        if math.prod(shape) <= _GATHER_BLOCK:
+            return flat.take(np.multiply(a, self.q, dtype=np.intp) + b)
+        out = np.empty(shape, dtype=table.dtype)
+        index = np.empty(_GATHER_BLOCK, dtype=np.intp)
+        with np.nditer([a, b, out], ["external_loop", "buffered"],
+                       [["readonly"], ["readonly"], ["writeonly"]],
+                       buffersize=_GATHER_BLOCK) as blocks:
+            for x, y, o in blocks:
+                i = index[:len(o)]
+                np.multiply(x, self.q, out=i, dtype=np.intp)
+                i += y
+                flat.take(i, out=o)
+        return out
+
     def add_np(self, a, b):
+        """Entrywise sum of two broadcasting arrays (or ints).
+
+        XOR for p = 2; up to q = 1024 a gather from add_table, in blocks
+        (see _gather); above it through the Zech logarithms.
+        """
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.add_table is not None:
-            # a flat take beats add_table[a, b] by 1.5-3x from ~10^3 entries
-            return self.add_table.ravel().take(
-                np.multiply(a, self.q, dtype=np.intp) + b)
+            return self._gather(self.add_table, a, b)
         # Zech, from the smaller logarithm: a + b = a (1 + b/a) = b (1 + a/b).
         # A zero has log -1; the indices it spoils are clipped, then masked
         la, lb = self.log.take(a), self.log.take(b)
@@ -451,9 +481,13 @@ class FieldCtx:
         return functools.reduce(self.add_np, terms[1:], terms[0])
 
     def mul_np(self, a, b):
-        if self.mul_table is not None:       # flat take, as in add_np
-            return self.mul_table.ravel().take(
-                np.multiply(a, self.q, dtype=np.intp) + b)
+        """Entrywise product of two broadcasting arrays (or ints).
+
+        Up to q = 1024 the products are gathered from mul_table, and the
+        gathers go in blocks (see _gather); above it they go through exp/log.
+        """
+        if self.mul_table is not None:
+            return self._gather(self.mul_table, a, b)
         la = self.log[a].astype(np.int64)
         lb = self.log[b].astype(np.int64)
         out = self.exp[(la + lb) % (self.q - 1)].astype(self.dtype)
@@ -474,6 +508,18 @@ class FieldCtx:
         return f"FieldCtx(GF({self.q}) = GF({self.p}^{self.t}), modulus={self.modulus})"
 
 
+def _default_modulus(p: int, t: int) -> tuple[int, ...]:
+    """x - g for the smallest primitive root g when t = 1, else the
+    DEFAULT_MODULI entry, else the first primitive modulus found.
+    p, t and q are checked first, so no search runs on a bad field."""
+    _field_size(p, t)
+    if t == 1:
+        return ((-_smallest_primitive_root(p)) % p, 1)
+    if (p, t) in DEFAULT_MODULI:
+        return DEFAULT_MODULI[(p, t)]
+    return _search_primitive_modulus(p, t)
+
+
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, t: int, modulus: tuple[int, ...] | None = None) -> FieldCtx:
     """Build (or fetch from cache) the GF(p^t) context.
@@ -487,7 +533,13 @@ def make_field(p: int, t: int, modulus: tuple[int, ...] | None = None) -> FieldC
 
     Raises:
         ValueError: p not prime, q > 2^16, or a bad/reducible modulus.
+
+    Without a modulus it fetches the context of the default one, so
+    make_field(p, t) and make_field(p, t, make_field(p, t).modulus) are
+    one context.
     """
+    if modulus is None:
+        return make_field(p, t, _default_modulus(p, t))
     return FieldCtx(p, t, modulus)
 
 

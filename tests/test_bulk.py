@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistcode import (bulk, classify, linalg, make_autspec, make_field,
-                       theta, weight_spectrum)
+                       make_system, theta, weight_spectrum)
 from twistcode.code import (is_minimal, m_bound, max_theta_by_rank,
                             min_weight_sweep, random_nonzero_matrix,
                             second_weight_check)
@@ -21,6 +21,14 @@ def _batch(ps, count, seed):
     R = np.stack([random_nonzero_matrix(ps.ctx, ps.m, rng).reshape(-1)
                   for _ in range(count)])
     return R
+
+
+def test_bundle_reuses_the_system():
+    # cfg carries the resolved modulus, which finds the same field, so a
+    # sweep worker or a witness re-read builds no second field or system
+    for cfg in [(2, 2, 1, 2), (3, 2, 1, 2), (3, 1, 0, 2), (2, 4, 2, 1)]:
+        ps = make_system(*cfg)
+        assert bulk._bundle(ps.cfg).sys is ps
 
 
 def test_theta_batch_matches_scalar_theta():

@@ -10,6 +10,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from twistcode.cli import main
 from twistcode.projgeom import class_reps_range
 
 import naive_ref
-from helpers import flat_codewords, prime_power, system
+from helpers import LINE_FLAGS_SHA256, flat_codewords, prime_power, system
 
 
 def run(*argv):
@@ -409,6 +410,21 @@ def test_lines_stdout_is_pinned(n, fmt):
     assert code == 0
     digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
     assert digest == LINES_SHA256[n, fmt]
+
+
+def test_lines_at_a_prime_q():
+    # the lines of Gamma do not depend on sigma, so lines runs at j = 0 and
+    # prints the pinned line_flags rows
+    code, out = run("lines", "--q", "3", "--n", "3")
+    assert code == 0 and out["config"]["j"] == 0
+    assert out["families"] == {"point-pencil": 520, "hyperplane-pencil": 520}
+    code, text = run("lines", "--q", "3", "--n", "3", "--format", "csv")
+    assert code == 0
+    rows = text.strip().splitlines()[1:]
+    flags = np.array([r.split(",")[1].split() for r in rows], dtype=np.int32)
+    npp = sum(r.startswith("point-pencil,") for r in rows)
+    assert (hashlib.sha256(flags.tobytes()).hexdigest(), npp) == \
+        LINE_FLAGS_SHA256[3, 3]
 
 
 def test_bad_field_is_a_usage_error():

@@ -1,15 +1,17 @@
 """The flag geometry: counts, ordering, line families, hyperplane test."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from twistcode import build_gamma, eval_codeword, flag_count, make_field
 from twistcode.gamma import Gamma
+from twistcode.projgeom import line_array
 
 import naive_ref
-from helpers import prime_power, system
+from helpers import LINE_FLAGS_SHA256, prime_power, system
 
 
 def test_flag_counts():
@@ -196,19 +198,6 @@ def test_flag_indices_outside_the_geometry_are_refused():
             g.is_geometric_hyperplane(bad)
 
 
-# sha256 of line_flags()'s int32 rows, and the point-pencil count
-LINE_FLAGS_SHA256 = {
-    (3, 3): ("b6e1c2e3d8d465bed68447de4d79a5fee849ef2a5c1bc23a7f0f67fc4c39db7b",
-             520),
-    (4, 2): ("9e20511fddb59fdaa50b6bd0bdb642ec5193faa63ab2f30d4a61fed512d9aff5",
-             21),
-    (4, 3): ("e071022fe51a1089410e26fe9cdf379a8a4ea09f345d90de48accdc525493fc1",
-             1785),
-    (9, 3): ("13e8ac0fea5d0ff95e5f377900bb3bf0c15ef4c1f69995094708720547de28b8",
-             74620),
-}
-
-
 @pytest.mark.parametrize("q,n", sorted(LINE_FLAGS_SHA256))
 def test_line_flags_bytes_are_pinned(q, n):
     g = build_gamma(make_field(*prime_power(q)), n)
@@ -216,6 +205,26 @@ def test_line_flags_bytes_are_pinned(q, n):
     assert flags.dtype == np.int32 and flags.shape[1] == q + 1
     assert (hashlib.sha256(flags.tobytes()).hexdigest(), npp) == \
         LINE_FLAGS_SHA256[q, n]
+
+
+def test_cold_line_test_memory_is_bounded():
+    # a cold Gamma and its line rows at (9, 3) each peak below 16 MB of
+    # allocations (about 4.6 and 11.1 MB, the rows themselves 6 MB); with
+    # whole-array gathers and flag lookups each took about 25 MB
+    ctx = make_field(3, 2)
+    line_array(ctx, 4)                      # cached, so not part of the peak
+    # Gamma itself, not the cached build_gamma, so the build is cold
+    tracemalloc.start()
+    try:
+        g = Gamma(ctx, 3)
+        gamma_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        g.line_flags()
+        lines_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gamma_peak < 16 * 2 ** 20, gamma_peak
+    assert lines_peak < 16 * 2 ** 20, lines_peak
 
 
 def test_size_cap_and_bad_n():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twistcode
-from twistcode import make_autspec, make_field, norm
+from twistcode import gf, make_autspec, make_field, norm
 from twistcode.gf import apply_sigma, apply_sigma_inverse
 from twistcode.rng import SplitMix64
 
@@ -133,6 +133,45 @@ def test_scalar_operations_match_the_tables(q):
         ctx.add_table.tolist()
     assert [[ctx.mul(a, b) for b in range(q)] for a in range(q)] == \
         ctx.mul_table.tolist()
+
+
+@pytest.mark.parametrize("q", [4, 9, 256])
+def test_array_operations_match_the_tables(q):
+    # the table gathers go in blocks of _GATHER_BLOCK entries: these
+    # broadcast shapes fall below, on and across block boundaries
+    ctx = make_field(*prime_power(q))
+    B = gf._GATHER_BLOCK
+    rng = SplitMix64(q)
+
+    def draw(shape, dtype=ctx.dtype):
+        size = int(np.prod(shape))
+        return (rng.words(size) % np.uint64(q)).astype(dtype).reshape(shape)
+
+    shapes = [((), ()), ((), (B + 3,)), ((B,), (B,)), ((3, 1, 5), (1, 7, 1)),
+              ((2, B // 2 + 1), (1, B // 2 + 1)), ((B + 1, 1), (1, 3)),
+              ((3, 1, 1), (1, 5, B // 4 + 7))]
+    cases = [(draw(sa), draw(sb)) for sa, sb in shapes]
+    cases.append((draw((3, B // 2)).T, draw((B // 2, 1), np.int64)))
+    cases.append((q - 1, draw((2, B + 5))))               # a Python int
+    for a, b in cases:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        for op, table in ((ctx.mul_np, ctx.mul_table), (ctx.add_np, ctx.add_table)):
+            got = op(a, b)
+            # p = 2 adds by XOR, which keeps numpy's result type
+            xor = ctx.p == 2 and op == ctx.add_np
+            assert got.shape == shape
+            assert got.dtype == (np.result_type(a, b) if xor else ctx.dtype)
+            assert np.array_equal(got, table[a, b])
+    for a in range(q):
+        assert [int(ctx.mul_np(a, b)) for b in range(q)] == ctx.mul_table[a].tolist()
+        assert [int(ctx.add_np(a, b)) for b in range(q)] == ctx.add_table[a].tolist()
+
+
+def test_default_modulus_is_one_field():
+    # make_field(p, t) and make_field(p, t, its modulus) are one context
+    for q in (3, 9, 27, 32, 6561):
+        ctx = make_field(*prime_power(q))
+        assert make_field(*prime_power(q), ctx.modulus) is ctx
 
 
 @pytest.mark.parametrize("p, t", [(3, 7), (5, 5), (3, 8)])
