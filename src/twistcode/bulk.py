@@ -1,20 +1,28 @@
 """Vectorized exhaustive sweeps over projective matrix classes.
 
-Theta comes from theta_descent, a closed form in the ranks of M and of
-N(M) - mu I (Galois descent).  For p = 2, at every supported q = 2^t,
-it runs on bit planes, 64 classes per machine word (gf.Planes,
-linalg.plane_matmul and linalg.plane_rank): criterion 6 and every
-exhaustive or sampled spectrum at q = 2^t.  Odd p runs on bytes
+A sweep counts theta and the rank per run (_block_keys): in the class
+order the q^m classes of one run share their first m - 1 rows R' and
+take every last row r.  For a functional class (xi', 1), xi M lies in
+F_q sigma(xi) exactly for r on the coset -xi' R' + F_q sigma(xi', 1), so
+one bincount of the q^m coset codes of a run counts theta for all its
+classes, one increment per class; the codes at c = 0 run over the row
+space of R', which gives rank M.  At p = 2 a coset code is one XOR of codes,
+and odd p adds digitwise through add_np.  Over 2^18 classes (2 vCPU) a
+theta chunk takes 11-15 ns per class at (8, 2, 1), against 43-74 through
+theta_descent on planes, and 23-32 against 560-690 at (9, 2, 1).
+
+theta_descent, a closed form in the ranks of M and of N(M) - mu I
+(Galois descent), takes theta of seeded draws (sampled_theta and the
+theta = 0 search of hyperplanes.find_fpf_collineation), and the tests
+check the block counts against it.  For p = 2, at every supported
+q = 2^t, it runs on bit planes, 64 classes per machine word (gf.Planes,
+linalg.plane_matmul and linalg.plane_rank); odd p runs on bytes
 (linalg.matmul and linalg.rank_batch), the planes' oracle in the tests.
-At (8, 2, 1) theta_descent takes 40-48 ns per class on planes against
-309 on bytes; the planes were faster at every t from 1 to 16 tried, so
-no cutoff in t applies.  A p = 2 sweep chunk skips the byte rows: its
-planes come straight from the class counter (class_planes_range, about
-3 ns per class against 38-39 for class_reps_range and Planes.pack), and
-a theta chunk at (8, 2, 1) takes 49 ns per class against 97 before.
-The flag check and the minimality sweep take their codewords from
-ProjectiveSystem.codewords; the minimality sweep ranks each codeword's
-zero rows with subset_ranks.
+At (8, 2, 1) the descent takes 40-48 ns per class on planes against 309
+on bytes; the planes were faster at every t from 1 to 16 tried, so no
+cutoff in t applies.  The flag check and the minimality sweep take their
+codewords from ProjectiveSystem.codewords; the minimality sweep ranks
+each codeword's zero rows with subset_ranks.
 
 fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
 (kept for the solution masks of min_weight_sweep) runs it on stacks,
@@ -42,7 +50,7 @@ from .embedding import build_system
 from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
-from .projgeom import class_planes_range, class_reps_range, line_array
+from .projgeom import class_reps_range, line_array, num_classes
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -51,6 +59,7 @@ DEFAULT_CHUNK = 1 << 18
 _SLICE = 1 << 14        # rows per _descent_bytes step; bounds its N(M) products
 _PLANE_SLICE = 1 << 16  # rows per _descent_planes step (1024 words a plane)
 _PRODUCTS = 1 << 18  # field products per slice of the scan and zero counts
+_RUN_SLICE = 1 << 16  # coset codes per _block_keys step
 
 
 class _Bundle:
@@ -80,6 +89,24 @@ class _Bundle:
         self.lead = [next(i for i, e in enumerate(f.rep) if e)
                      for f in g.functionals]
         self.N = sys_.N
+
+    @functools.cached_property
+    def run_tables(self):
+        """For _run_arrays: every xi' of F_q^(m-1) as digits, in code order;
+        the normalized xi'' among them, their leading positions and the
+        codes of their lines F_q sigma(xi'', 0), (N'', q); and rank R' by
+        the number of xi'' with xi'' R' = 0."""
+        ctx, q, m = self.ctx, self.q, self.m
+        xis = _digits(np.arange(q ** (m - 1)), q, m - 1).astype(ctx.dtype)
+        count = num_classes(q, m - 1)
+        normal = class_reps_range(q, m - 1, 0, count, dtype=ctx.dtype)
+        sxi = np.concatenate([self.spec.table.take(normal),
+                              np.zeros((count, 1), ctx.dtype)], axis=1)
+        c = np.arange(q, dtype=ctx.dtype)[:, None]
+        lines = _codes(q, ctx.mul_np(c, sxi[:, None, :]))
+        rank_of = np.full(count + 1, -1, dtype=np.int8)
+        rank_of[[num_classes(q, m - 1 - r) for r in range(m)]] = range(m)
+        return xis, normal, (normal != 0).argmax(axis=1), lines, rank_of
 
     @functools.cached_property
     def dual_line_masks(self) -> list[int]:
@@ -187,24 +214,17 @@ def theta_descent(ctx: FieldCtx, spec: AutSpec,
     walks the batch in slices of each kernel's size, which bounds the
     N(M) products, and turns the ranks into theta.
     """
-    if ctx.p == 2:
-        return _plane_descent(ctx, spec, ctx.planes.pack(R.T), len(R))
     m = math.isqrt(R.shape[1])
+    if ctx.p == 2:
+        P = ctx.planes.pack(R.T).reshape(ctx.t, m, m, -1)
+        words = _PLANE_SLICE // 64
+        return _fold_ranks(ctx, spec, m, len(R), _PLANE_SLICE, lambda a, mus:
+                           _descent_planes(ctx, spec,
+                                           P[..., a // 64:a // 64 + words],
+                                           mus))
     M = R.reshape(-1, m, m)
     return _fold_ranks(ctx, spec, m, len(M), _SLICE, lambda a, mus:
                        _descent_bytes(ctx, spec, M[a:a + _SLICE], mus))
-
-
-def _plane_descent(ctx: FieldCtx, spec: AutSpec, P: np.ndarray,
-                   B: int) -> tuple[np.ndarray, np.ndarray]:
-    """theta_descent of the first B lanes of the planes P, (t, k, W), of
-    flattened m x m matrices."""
-    m = math.isqrt(P.shape[1])
-    P = P.reshape(P.shape[0], m, m, -1)
-    words = _PLANE_SLICE // 64
-    return _fold_ranks(ctx, spec, m, B, _PLANE_SLICE, lambda a, mus:
-                       _descent_planes(ctx, spec,
-                                       P[..., a // 64:a // 64 + words], mus))
 
 
 def _fold_ranks(ctx: FieldCtx, spec: AutSpec, m: int, B: int, step: int,
@@ -297,39 +317,193 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
 
     A cell is (theta, rank class, check bit), flattened to
     (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank come
-    from theta_descent; the rank class is the rank, except that a rank-1
+    from _block_keys; the rank class is the rank, except that a rank-1
     class with a vanishing pairing_batch (singular) takes rank class 0.
     kind picks the check bit: "theta" sets none, "flag" marks a violated
     intersection identity (zero_counts_batch), "cond" the solutions on no
     line of the dual space (theta_batch's masks; its theta is asserted to
-    equal the descent's) and "minimality" a zero set of rank < k - 1
-    (subset_ranks).
-
-    For p = 2 the descent runs on class_planes_range, the planes of the
-    class counter, so a "theta" chunk builds no byte rows: its rank-1
-    classes are gathered from the planes.  The other kinds build the rows
-    of class_reps_range for their check, as odd p does for the descent.
+    equal the block count's) and "minimality" a zero set of rank < k - 1
+    (subset_ranks).  Only the check bits build the rows of
+    class_reps_range; the rank-1 rows come from their digits.
     """
     b = _bundle(cfg)
-    ctx = b.ctx
-    R = None
-    if kind != "theta" or ctx.p != 2:
-        R = class_reps_range(b.q, b.k, start, stop, dtype=ctx.dtype)
-    if ctx.p == 2:
-        P = class_planes_range(ctx.planes, b.k, start, stop)
-        theta, rclass = _plane_descent(ctx, b.spec, P, stop - start)
-    else:
-        theta, rclass = theta_descent(ctx, b.spec, R)
-    rank1 = np.flatnonzero(rclass == 1)
-    R1 = ctx.planes.gather(P, rank1, ctx.dtype).T if R is None else R[rank1]
-    rclass[rank1] = pairing_batch(b, R1) != 0           # singular: 0
-    keys = theta.astype(np.intp)
-    keys *= b.m + 1
-    keys += rclass
-    keys *= 2
+    keys, pos, rows = _block_keys(b, start, stop)
+    keys[pos] -= (pairing_batch(b, rows) == 0) * 2          # singular: 0
     if kind != "theta":
-        keys += _check_bit(b, kind, R, theta)
+        R = class_reps_range(b.q, b.k, start, stop, dtype=b.ctx.dtype)
+        keys += _check_bit(b, kind, R, keys // (2 * (b.m + 1)))
     return keys
+
+
+def _block_keys(b: _Bundle, start: int, stop: int):
+    """The cells (theta, rank, 0) of the classes in [start, stop), counted
+    per run.
+
+    The row of a class is the base-q expansion of its code D = local
+    index + q^tail in its lead block, so the q^m classes of one run
+    D // q^m share their first m - 1 rows R' and take every last row r,
+    in code order D mod q^m.  theta counts the functional classes xi with
+    xi M in F_q sigma(xi) (fixed_scan), regrouped: those (xi'', 0) with
+    xi'' R' on its line are the run's base, and (xi', 1) M = o + r with
+    o = xi' R' counts for r exactly on the coset -o + F_q sigma(xi', 1).
+    So one bincount of the q^(m-1) x q coset codes of a run counts every
+    last row at once, one increment per class.  Its c = 0 codes run over
+    the row space of R', which gives rank M = rank R' + [r off that space].
+
+    Returns the flat cells as class_keys lays them out, with the rank for
+    the rank class, and the positions and rows of the rank-1 classes,
+    which lie in the runs with rank R' <= 1.
+    """
+    q, m, k = b.q, b.m, b.k
+    qm = q ** m
+    total = num_classes(q, k)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
+    keys = np.empty(stop - start, dtype=np.intp)
+    pos, codes = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    S = max(1, _RUN_SLICE // qm)                           # runs per slice
+    for tail in range(k):
+        block_lo = num_classes(q, tail)
+        lo, hi = max(start, block_lo), min(stop, block_lo + q ** tail)
+        if lo >= hi:
+            continue
+        u, r = divmod(lo - block_lo + q ** tail, qm)       # class lo's run
+        first = lo - r              # where run u would start, at r = 0
+        runs = _run_arrays(b, u, -(-(hi - first) // qm))
+        a = lo
+        while a < hi:           # a run the range cuts is a slice of its own
+            s, off = divmod(a - first, qm)
+            whole = 0 if off or hi - a < qm else min(S, (hi - a) // qm)
+            z = a + whole * qm if whole else min(hi, a - off + qm)
+            p1 = _count_slice(b, [v[s:s + max(whole, 1)] for v in runs],
+                              off, keys[a - start:z - start])
+            pos.append(p1 + (a - start))
+            codes.append(p1 + (a - block_lo + q ** tail))
+            a = z
+    rows = _digits(np.concatenate(codes), q, k).astype(b.ctx.dtype)
+    return keys, np.concatenate(pos), rows
+
+
+def _run_arrays(b: _Bundle, u: int, U: int):
+    """The base count, rank R' and offsets -o of the runs u .. u + U - 1:
+    -o = -xi' R' for every xi', as (U, q^(m-1)) codes for p = 2, else as
+    (U, m, q^(m-1)) digits."""
+    ctx, q, m = b.ctx, b.q, b.m
+    Rp = _digits(np.arange(u, u + U, dtype=np.int64), q, m * (m - 1))
+    Rp = Rp.astype(ctx.dtype).reshape(U, m - 1, m)
+    xis, normal, lead, lines0, rank_of = b.run_tables
+    V = matmul(ctx, normal, Rp)                            # xi'' R'
+    on, each = _codes(q, V), np.arange(len(normal))
+    lam = V[:, each, lead]                                 # its factor
+    base = (on == lines0[each, lam]).sum(axis=1)
+    rank_p = rank_of[(on == 0).sum(axis=1)]
+    if ctx.p == 2:                                         # -o = o
+        return base, rank_p, _offset_codes(ctx, Rp)
+    o = matmul(ctx, xis, Rp).transpose(0, 2, 1)
+    return base, rank_p, ctx.neg_table.take(o)
+
+
+def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> np.ndarray:
+    """Write the cells of the len(keys) classes from code off of the first
+    of the runs on; returns the positions of rank 1.
+
+    The xi' go in blocks, so that no step holds more than about
+    _RUN_SLICE coset codes."""
+    ctx, q, m = b.ctx, b.q, b.m
+    base, rank_p, o = runs
+    qm, X, S, n = q ** m, q ** (m - 1), len(base), len(keys)
+    shift = np.arange(S, dtype=np.intp)[:, None, None] * qm
+    whole = off == 0 and n == S * qm
+    step = max(1, _RUN_SLICE // (S * q))
+    for x0 in range(0, X, step):
+        lines = _sigma_lines(b.cfg, x0, min(x0 + step, X))
+        ob = o[..., x0:x0 + step]
+        if ctx.p == 2:  # a sum is the XOR of the codes, below the run bits
+            idx = (ob[:, None, :] | shift) ^ lines
+        else:
+            idx = ctx.add_np(ob[:, None, 0], lines[0]).astype(np.intp)
+            for c in range(1, m):
+                idx *= q
+                idx += ctx.add_np(ob[:, None, c], lines[c])
+            idx += shift
+        if off:
+            idx -= off
+        in_span = idx[:, 0].ravel()                        # c = 0
+        idx = idx.ravel()
+        if not whole:
+            idx = idx[idx.view(np.uintp) < n]
+            in_span = in_span[in_span.view(np.uintp) < n]
+        counts = np.bincount(idx, minlength=n)
+        if x0 == 0:
+            cnt, span = counts, np.zeros(n, dtype=np.int8)
+        else:
+            cnt += counts
+        span[in_span] = 2
+    # 2 (theta (m + 1) + rank) with rank = rank R' + 1 - [r in the span]
+    edges = np.clip(np.arange(S + 1) * qm - off, 0, n)
+    cnt *= 2 * (m + 1)
+    cnt += np.repeat(2 * (base * (m + 1) + rank_p + 1), np.diff(edges))
+    np.subtract(cnt, span, out=keys)
+    low = np.flatnonzero(rank_p <= 1)                      # the rank-1 runs
+    cand = _ranges(edges[low], edges[low + 1])
+    return cand[keys[cand] // 2 % (m + 1) == 1]
+
+
+def _offset_codes(ctx: FieldCtx, Rp: np.ndarray) -> np.ndarray:
+    """Codes of xi' R' for every xi', (S, q^(m - 1)) in code order; p = 2.
+
+    xi' R' sums y^i R'_j over the bits i of the digits xi'_j, so the codes
+    double up by one XOR per bit of xi', lowest first."""
+    S = len(Rp)
+    y = np.left_shift(1, np.arange(ctx.t))[:, None]
+    basis = _codes(ctx.q, ctx.mul_np(Rp[:, :, None, :], y))   # (S, m-1, t)
+    bits = basis[:, ::-1].reshape(S, -1)
+    o = np.zeros((S, 1 << bits.shape[1]), dtype=np.intp)
+    for i in range(bits.shape[1]):
+        w = 1 << i
+        np.bitwise_xor(o[:, :w], bits[:, i, None], out=o[:, w:2 * w])
+    return o
+
+
+@functools.lru_cache(maxsize=1)
+def _sigma_lines(cfg: tuple, x0: int, x1: int) -> np.ndarray:
+    """The lines F_q sigma(xi', 1) of the xi' with codes x0 .. x1 - 1:
+    (q, X) codes for p = 2, else (m, q, X) digits; row c = 0 is the zero
+    vector."""
+    b = _bundle(cfg)
+    ctx = b.ctx
+    xi = b.run_tables[0][x0:x1]
+    sxi = b.spec.table.take(np.concatenate(
+        [xi, np.ones((len(xi), 1), ctx.dtype)], axis=1))
+    lines = ctx.mul_np(np.arange(b.q, dtype=ctx.dtype)[:, None],
+                       sxi.T[:, None, :])                  # (m, q, X)
+    if ctx.p == 2:
+        return _codes(b.q, np.moveaxis(lines, 0, -1))
+    return lines
+
+
+def _digits(v: np.ndarray, q: int, width: int) -> np.ndarray:
+    """The width base-q digits of each entry of v, most significant first."""
+    out = np.empty(v.shape + (width,), dtype=np.int64)
+    for c in range(width - 1, -1, -1):
+        v, out[..., c] = np.divmod(v, q)
+    return out
+
+
+def _codes(q: int, v: np.ndarray) -> np.ndarray:
+    """The base-q values of the digit rows of v, most significant first."""
+    out = v[..., 0].astype(np.intp)
+    for c in range(1, v.shape[-1]):
+        out *= q
+        out += v[..., c]
+    return out
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The concatenated aranges lo[i] .. hi[i] - 1."""
+    lengths = hi - lo
+    return (np.arange(lengths.sum(), dtype=np.intp)
+            + np.repeat(lo - np.cumsum(lengths) + lengths, lengths))
 
 
 def _check_bit(b: _Bundle, kind: str, R: np.ndarray,

@@ -301,8 +301,8 @@ def max_theta_by_rank(sys: ProjectiveSystem, r: int,
                       threads: int = 1) -> MaxThetaReport:
     """Maximum theta over all classes of rank r, with the first witness.
 
-    One exhaustive sweep for every n, ranks and theta from
-    bulk.theta_descent.  Reports whether the maximum attains the m(r)
+    One exhaustive sweep for every n, ranks and theta from the block
+    counts of bulk.class_keys.  Reports whether the maximum attains the m(r)
     bound.
     """
     ctx, spec = sys.ctx, sys.spec

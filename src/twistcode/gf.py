@@ -19,7 +19,7 @@ Scalar add is XOR for p = 2 and Zech for odd p, scalar mul is exp/log,
 at every q.  The array operations add_np, mul_np and sum_np (the field
 sum along one axis) read the q x q tables up to q = 1024, with gathers
 in blocks of _GATHER_BLOCK entries; above it they add by XOR (p = 2) or
-Zech and multiply through exp/log.  Other modules
+Zech and multiply through exp/log, in blocks of as many.  Other modules
 go through them and the scalar operations; none reads the q x q tables.
 For p = 2, FieldCtx.planes (a Planes, built on first use) adds bit-plane
 arithmetic on 64 elements per machine word, with no tables at all.
@@ -450,16 +450,39 @@ class FieldCtx:
                 flat.take(i, out=o)
         return out
 
+    def _blockwise(self, f, a, b):
+        """f(a, b) over the broadcast shape of a and b, by blocks.
+
+        The exp/log and Zech forms above q = 1024 build several int64
+        temporaries per entry, about 30 bytes in all.  So, as in _gather,
+        above _GATHER_BLOCK entries f runs on blocks of that many, into
+        one preallocated output of ctx.dtype.
+        """
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        if math.prod(shape) <= _GATHER_BLOCK:
+            return f(a, b)
+        out = np.empty(shape, dtype=self.dtype)
+        with np.nditer([a, b, out], ["external_loop", "buffered"],
+                       [["readonly"], ["readonly"], ["writeonly"]],
+                       buffersize=_GATHER_BLOCK) as blocks:
+            for x, y, o in blocks:
+                o[...] = f(x, y)
+        return out
+
     def add_np(self, a, b):
         """Entrywise sum of two broadcasting arrays (or ints).
 
         XOR for p = 2; up to q = 1024 a gather from add_table, in blocks
-        (see _gather); above it through the Zech logarithms.
+        (see _gather); above it through the Zech logarithms, in blocks as
+        well (see _blockwise).
         """
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.add_table is not None:
             return self._gather(self.add_table, a, b)
+        return self._blockwise(self._add_zech, a, b)
+
+    def _add_zech(self, a, b):
         # Zech, from the smaller logarithm: a + b = a (1 + b/a) = b (1 + a/b).
         # A zero has log -1; the indices it spoils are clipped, then masked
         la, lb = self.log.take(a), self.log.take(b)
@@ -484,10 +507,14 @@ class FieldCtx:
         """Entrywise product of two broadcasting arrays (or ints).
 
         Up to q = 1024 the products are gathered from mul_table, and the
-        gathers go in blocks (see _gather); above it they go through exp/log.
+        gathers go in blocks (see _gather); above it they go through exp/log,
+        in blocks as well (see _blockwise).
         """
         if self.mul_table is not None:
             return self._gather(self.mul_table, a, b)
+        return self._blockwise(self._mul_exp_log, a, b)
+
+    def _mul_exp_log(self, a, b):
         la = self.log[a].astype(np.int64)
         lb = self.log[b].astype(np.int64)
         out = self.exp[(la + lb) % (self.q - 1)].astype(self.dtype)

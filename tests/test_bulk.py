@@ -1,5 +1,7 @@
 """Vectorized sweep machinery against the per-matrix routines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,32 +143,125 @@ def test_plane_kernel_matches_the_byte_kernel(cfg, monkeypatch):
                 assert np.array_equal(g, w), (count, where)
 
 
+def _descent_keys(ps, R):
+    """class_keys' theta cells from the rows R: theta_descent, the rank
+    class from its ranks and pairing_batch on the rank-1 rows."""
+    theta, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
+    rclass = ranks.astype(np.intp)
+    one = ranks == 1
+    rclass[one] = bulk.pairing_batch(bulk._bundle(ps.cfg), R[one]) != 0
+    return (theta.astype(np.intp) * (ps.m + 1) + rclass) * 2, ranks
+
+
 @pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (2, 3, 1, 2), (2, 4, 2, 1)])
 def test_class_keys_match_the_byte_route(cfg, monkeypatch):
-    # the byte route packs the rows of the class order and ranks them on
-    # bytes; a flag chunk reads its rank-1 classes off those rows, so with
-    # the check bit cleared its keys are the theta kind's, lane gather aside.
-    # The chunks start off the 64-lane grid, and the first ones hold
+    # the byte route ranks the rows of the class order on bytes (the
+    # descent's kernel for odd p) and adds the flag check of those rows;
+    # with the check bit cleared its keys are the theta kind's.  The
+    # chunks start off the q^m grid of the runs, and the first ones hold
     # singular and quasi-singular rank-1 classes
     ps = system(*cfg)
     q, k = ps.ctx.q, ps.k
     total = num_classes(q, k)
-
-    def packed_rows(pf, k, start, stop):
-        return pf.pack(class_reps_range(q, k, start, stop).T)
+    b = bulk._bundle(ps.cfg)
 
     rank1 = set()
     for start, stop in ((0, 300), (101, 2101), (total - 777, total)):
+        R = class_reps_range(q, k, start, stop, dtype=ps.ctx.dtype)
         with monkeypatch.context() as mp:
-            mp.setattr(bulk, "class_planes_range", packed_rows)
             mp.setattr(bulk, "_descent_planes", _byte_kernel_on_planes)
-            want = bulk.class_keys(ps.cfg, "flag", start, stop)
-        for kind, keys in (("flag", want), ("theta", want & ~1)):
+            cells, _ = _descent_keys(ps, R)
+        theta = cells // (2 * (ps.m + 1))
+        want = cells + bulk._check_bit(b, "flag", R, theta)
+        for kind, keys in (("flag", want), ("theta", cells)):
             got = bulk.class_keys(ps.cfg, kind, start, stop)
             assert got.dtype == keys.dtype
             assert np.array_equal(got, keys), (kind, start, stop)
         rank1 |= set((want // 2 % (ps.m + 1)).tolist()) & {0, 1}
     assert rank1 == {0, 1}
+
+
+def _seam_ranges(q, k, width):
+    """Ranges of about 2 width classes across every lead-block seam of the
+    class order, off the q^m grid of the runs, and its last width classes."""
+    total = num_classes(q, k)
+    seams = [num_classes(q, tail) for tail in range(1, k)]
+    return [(max(0, s - width), min(total, s + width + 1)) for s in seams] \
+        + [(total - width, total)]
+
+
+@pytest.mark.parametrize("cfg, ranges", [
+    ((2, 2, 1, 2), [(0, num_classes(4, 9))]),
+    ((2, 2, 0, 2), [(0, num_classes(4, 9))]),           # sigma = 1
+    ((2, 2, 1, 1), [(0, num_classes(4, 4))]),           # n = 1
+    ((3, 3, 1, 1), [(0, num_classes(27, 4))]),
+    ((2, 1, 0, 2), [(0, num_classes(2, 9))]),           # one bit a digit
+    ((2, 3, 1, 2), _seam_ranges(8, 9, 700)),
+    ((3, 2, 1, 2), _seam_ranges(9, 9, 700)),
+    ((2, 2, 1, 3), _seam_ranges(4, 16, 300)),
+    ((2, 4, 2, 2), _seam_ranges(16, 9, 300))],
+    ids=["q4n2", "q4n2-sigma1", "q4n1", "q27n1", "q2n2", "q8n2-seams",
+         "q9n2-seams", "q4n3-seams", "q16n2j2-seams"])
+def test_class_keys_match_the_descent(cfg, ranges):
+    # the block counts against theta_descent and pairing_batch on the rows
+    # of class_reps_range, and their ranks against the scalar rank on
+    # every rank-1 class and a spread of the others
+    ps = system(*cfg)
+    q, k = ps.ctx.q, ps.k
+    for start, stop in ranges:
+        R = class_reps_range(q, k, start, stop, dtype=ps.ctx.dtype)
+        want, ranks = _descent_keys(ps, R)
+        got = bulk.class_keys(ps.cfg, "theta", start, stop)
+        assert np.array_equal(got, want), (start, stop)
+        spot = np.flatnonzero((ranks == 1) | (np.arange(len(R)) % 97 == 0))
+        assert [rank(ps.ctx, R[i].reshape(ps.m, ps.m)) for i in spot[:400]] \
+            == (got[spot[:400]] // 2 % (ps.m + 1)).clip(1).tolist()
+
+
+def test_class_keys_work_in_one_run_beyond_the_range(monkeypatch):
+    # at q = 2048, n = 1 a run is q^2 = 2^22 classes: a short range walks
+    # the q functionals xi' of each run it touches once, in blocks, and
+    # holds no run-sized array
+    ps = system(2, 11, 1, 1)
+    q, k = ps.ctx.q, ps.k
+    bulk.class_keys(ps.cfg, "theta", 0, 1)              # build the tables
+    walked = []
+    lines = bulk._sigma_lines
+
+    def counted(cfg, x0, x1):
+        walked.append(x1 - x0)
+        return lines(cfg, x0, x1)
+
+    monkeypatch.setattr(bulk, "_sigma_lines", counted)
+    # in the last lead block a run starts at every multiple of q^2 of
+    # index - num_classes(q, k - 1); this one ends 150 classes on
+    start = num_classes(q, k - 1) + 1000 * q * q - 150
+    for stop, runs in ((start + 100, 1), (start + 300, 2)):
+        walked.clear()
+        tracemalloc.start()
+        got = bulk.class_keys(ps.cfg, "theta", start, stop)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert sum(walked) == runs * q and len(walked) > runs
+        assert peak < 8 << 20, peak     # the codes of one run: 32 MB
+        R = class_reps_range(q, k, start, stop, dtype=ps.ctx.dtype)
+        assert np.array_equal(got, _descent_keys(ps, R)[0])
+
+
+def test_theta_sweeps_reach_no_descent_kernel(monkeypatch):
+    # a sweep counts theta per run, so neither descent kernel runs; the
+    # seeded draws of sampled_theta still go through the descent
+    def kernel(*args):
+        raise AssertionError("descent kernel reached")
+
+    monkeypatch.setattr(bulk, "_descent_planes", kernel)
+    monkeypatch.setattr(bulk, "_descent_bytes", kernel)
+    table = weight_spectrum(system(2, 2, 1, 2))
+    assert table.counts == {int(w): c for w, c in
+                            golden("spectrum_4_2_1")["counts"].items()}
+    for cfg in [(2, 2, 1, 2), (3, 2, 1, 2)]:
+        with pytest.raises(AssertionError, match="descent kernel reached"):
+            bulk.sampled_theta(system(*cfg).cfg, 4, seed=1)
 
 
 @pytest.mark.parametrize("t,k,start,count", [(3, 9, 1000, 200), (2, 4, 3, 82),

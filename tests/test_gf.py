@@ -1,6 +1,7 @@
 """Field contexts and twist automorphisms against the frozen oracle."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +188,36 @@ def test_zech_add_np_matches_naive_above_the_table_cap(p, t):
     assert got.dtype == ctx.dtype
     assert got.tolist() == [nf.add(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert (got[40:60] == 0).all()
+
+
+@pytest.mark.parametrize("p, t", [(2, 12), (3, 8)])
+def test_exp_log_and_zech_arrays_go_in_blocks(p, t):
+    # above q = 1024 mul_np (exp/log) and the odd-p Zech add_np build
+    # their int64 temporaries one block of _GATHER_BLOCK entries at a
+    # time: 10^6 broadcast products hold their uint16 output and about
+    # one block more, and agree with the same operation on pieces under
+    # one block and with the scalar operations
+    ctx = make_field(p, t)
+    assert ctx.mul_table is None
+    rng = SplitMix64(ctx.q)
+    a, b = ((rng.words(1000) % np.uint64(ctx.q)).astype(ctx.dtype)
+            for _ in range(2))
+    a[:30] = b[500:530] = 0
+    ops = [(ctx.mul_np, ctx.mul)]
+    if p > 2:
+        ops.append((ctx.add_np, ctx.add))
+    for op, scalar in ops:
+        tracemalloc.start()
+        got = op(a[:, None], b[None, :])
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert got.shape == (1000, 1000) and got.dtype == ctx.dtype
+        assert peak < got.nbytes + (3 << 20), peak
+        want = np.concatenate([op(a[i:i + 50, None], b[None, :])
+                               for i in range(0, 1000, 50)])
+        assert np.array_equal(got, want)
+        for i, j in [(0, 1), (5, 500), (999, 999), (123, 456), (40, 7)]:
+            assert got[i, j] == scalar(int(a[i]), int(b[j]))
 
 
 @given(st.sampled_from(DESK_Q), st.integers(0, 2 ** 48))
