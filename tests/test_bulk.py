@@ -1,5 +1,9 @@
 """Vectorized sweep machinery against the per-matrix routines."""
 
+import contextlib
+import multiprocessing as mp
+import os
+import signal
 import tracemalloc
 
 import numpy as np
@@ -7,7 +11,7 @@ import pytest
 
 from twistcode import (bulk, classify, linalg, make_autspec, make_field,
                        make_system, theta, weight_spectrum)
-from twistcode.code import (is_minimal, m_bound, max_theta_by_rank,
+from twistcode.code import (_Sweep, is_minimal, m_bound, max_theta_by_rank,
                             min_weight_sweep, random_nonzero_matrix,
                             second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
@@ -405,26 +409,121 @@ def test_cond_theta_sweep_keeps_the_rank_options():
     assert cond[..., 1].sum() == 360
 
 
-def test_sweep_is_thread_invariant():
+def test_sweep_is_thread_invariant(monkeypatch):
+    # the folded record, counts and first chunks, is the same for every
+    # worker count, including more workers than the 6 chunks
     ps = system(2, 2, 1, 2)
     total = num_classes(4, 9)
-
-    def run(threads, kind):
-        table = 0
-        for res in bulk.iter_sweep(ps.cfg, {"kind": kind}, total,
-                                   threads=threads, chunk=1 << 14):
-            table = table + res["table"]
-        return table
-
+    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 1 << 14)
+    threads = (1, 2, 3, 8)
+    tables = {}
+    for kind in ("theta", "flag", "cond", "minimality"):
+        one, *rest = [_Sweep(ps, kind, th) for th in threads]
+        for other in rest:
+            assert np.array_equal(other.table, one.table)
+            assert np.array_equal(other.first, one.first)
+        assert one.table.sum() == total
+        tables[kind] = one.table
     for kind in ("theta", "flag"):
-        t1, t2 = run(1, kind), run(2, kind)
-        assert np.array_equal(t1, t2)
-        assert t1.sum() == total and t1[..., 1].sum() == 0
+        assert tables[kind][..., 1].sum() == 0
     # weight = 4 * (21 - theta), so the frozen spectrum pins the histogram:
     # 1080 codewords of weight 56 are 360 classes, 1008 of weight 60 are 336
-    hist = t1.sum(axis=(1, 2))
+    hist = tables["theta"].sum(axis=(1, 2))
     assert hist[7] == 360
     assert hist[6] == 336
+    for r in (1, 2, 3):
+        one, *rest = [max_theta_by_rank(ps, r, threads=th) for th in threads]
+        for other in rest:
+            assert other.witness_index == one.witness_index
+            assert other.max_theta == one.max_theta
+            assert np.array_equal(other.witness, one.witness)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a sweep that hangs instead of hanging the test run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"sweep still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _sweep_all(ps, threads, chunk):
+    total = num_classes(ps.ctx.q, ps.k)
+    return list(bulk.iter_sweep(ps.cfg, {"kind": "theta"}, total,
+                                threads=threads, chunk=chunk))
+
+
+def test_sweep_forks_no_more_workers_than_chunks():
+    ps = system(2, 2, 1, 2)
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    with _deadline(10):
+        res = _sweep_all(ps, threads=6, chunk=1 << 15)     # 3 chunks
+    assert len(forks) == 3
+    assert [r["start"] for r in res] == [0, 1 << 15, 1 << 16]
+    serial = _sweep_all(ps, threads=1, chunk=1 << 15)
+    for a, b in zip(res, serial):
+        assert np.array_equal(a["table"], b["table"])
+    assert mp.active_children() == []
+
+
+def test_sweep_tops_up_a_full_task_pipe(monkeypatch):
+    # 20000 chunk numbers take 80000 bytes, more than a 64 KiB pipe holds:
+    # the rest go in as results come back
+    monkeypatch.setattr(bulk, "sweep_chunk",
+                        lambda cfg, opts, start, stop: {"start": start})
+    with _deadline(10):
+        res = bulk.iter_sweep(system(2, 2, 1, 2).cfg, {"kind": "theta"},
+                              20000, threads=2, chunk=1)
+        assert [r["start"] for r in res] == list(range(20000))
+    assert mp.active_children() == []
+
+
+def test_sweep_raises_when_a_worker_dies(monkeypatch):
+    ps = system(2, 2, 1, 2)
+    chunk_of = bulk.sweep_chunk
+
+    def dies_in_the_fourth(cfg, opts, start, stop):
+        if start == 3 << 12:
+            os._exit(1)
+        return chunk_of(cfg, opts, start, stop)
+
+    monkeypatch.setattr(bulk, "sweep_chunk", dies_in_the_fourth)
+    with _deadline(10):
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            _sweep_all(ps, threads=2, chunk=1 << 12)
+    assert mp.active_children() == []
+
+
+def test_sweep_passes_on_exceptions_and_stops_on_close(monkeypatch, capfd):
+    ps = system(2, 2, 1, 2)
+    chunk_of = bulk.sweep_chunk
+
+    def fails_in_the_third(cfg, opts, start, stop):
+        if start == 2 << 12:
+            raise ValueError(f"bad chunk at {start}")
+        return chunk_of(cfg, opts, start, stop)
+
+    monkeypatch.setattr(bulk, "sweep_chunk", fails_in_the_third)
+    with _deadline(10):
+        with pytest.raises(ValueError, match="^bad chunk at 8192$"):
+            _sweep_all(ps, threads=2, chunk=1 << 12)
+    assert mp.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+    monkeypatch.setattr(bulk, "sweep_chunk", chunk_of)
+    total = num_classes(4, 9)
+    with _deadline(10):
+        sweep = bulk.iter_sweep(ps.cfg, {"kind": "minimality"}, total,
+                                threads=2, chunk=1 << 10)
+        assert next(sweep)["start"] == 0
+        sweep.close()
+    assert mp.active_children() == []
 
 
 def test_chunk_boundaries_do_not_lose_classes():
