@@ -11,6 +11,14 @@ and odd p adds digitwise through add_np.  Over 2^18 classes (2 vCPU) a
 theta chunk takes 11-15 ns per class at (8, 2, 1), against 43-74 through
 theta_descent on planes, and 23-32 against 560-690 at (9, 2, 1).
 
+The Frobenius tau(x) = x^p commutes with sigma and fixes 0 and 1, so it
+acts digit by digit on the class codes and maps run u onto run tau(u)
+with the same cells: theta, the rank and a vanishing pairing are
+tau-invariant.  A "theta" sweep therefore counts only the least run of
+each tau-orbit, weighted by the orbit's size (_orbit_weights): at
+(8, 2, 1) 12,525 of the 37,449 runs.  The check kinds still count every
+class, since their check bit reads the class itself.
+
 theta_descent, a closed form in the ranks of M and of N(M) - mu I
 (Galois descent), takes theta of seeded draws (sampled_theta and the
 theta = 0 search of hyperplanes.find_fpf_collineation), and the tests
@@ -31,11 +39,13 @@ through linalg.matmul and the FieldCtx array operations, so none of
 them needs the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
-classes per cell (theta, rank class, check bit) of class_keys, and the
-kind of sweep picks the check bit.  code adds the chunk tables as they
-come, in submission order, so every aggregate is byte-identical for any
-worker count, and reads a witness off the keys of the first chunk in
-which its cell turns up.  With more than one worker, iter_sweep forks
+classes per cell (theta, rank class, check bit) of class_keys, a theta
+chunk those of its least runs by orbit size, and the kind of sweep picks
+the check bit.  code adds the chunk tables as they come, in submission
+order, so every aggregate is byte-identical for any worker count, and
+reads a witness off the keys of the first chunk in which its cell turns
+up; the first run with a cell is the least of its orbit, so that chunk
+does not depend on the orbits.  With more than one worker, iter_sweep forks
 min(threads, chunks) processes that pull chunk numbers from one task
 pipe; the parent only waits on their result pipes and exits.
 """
@@ -94,6 +104,11 @@ class _Bundle:
         self.lead = [next(i for i, e in enumerate(f.rep) if e)
                      for f in g.functionals]
         self.N = sys_.N
+
+    @functools.cached_property
+    def frobenius(self) -> np.ndarray:
+        """x -> x^p as a table, for _orbit_weights; t >= 2 only."""
+        return make_autspec(self.ctx, 1).table
 
     @functools.cached_property
     def run_tables(self):
@@ -321,28 +336,27 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
     """The cell of each class in [start, stop), as a flat table index.
 
     A cell is (theta, rank class, check bit), flattened to
-    (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank come
-    from _block_keys; the rank class is the rank, except that a rank-1
-    class with a vanishing pairing_batch (singular) takes rank class 0.
-    kind picks the check bit: "theta" sets none, "flag" marks a violated
-    intersection identity (zero_counts_batch), "cond" the solutions on no
-    line of the dual space (theta_batch's masks; its theta is asserted to
-    equal the block count's) and "minimality" a zero set of rank < k - 1
-    (subset_ranks).  Only the check bits build the rows of
-    class_reps_range; the rank-1 rows come from their digits.
+    (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank class
+    come from _block_keys with every run counted once, so there is one
+    key per class, for every kind: the witness re-reads and the check
+    kinds need the class itself.  kind picks the check bit: "theta" sets
+    none, "flag" marks a violated intersection identity
+    (zero_counts_batch), "cond" the solutions on no line of the dual
+    space (theta_batch's masks; its theta is asserted to equal the block
+    count's) and "minimality" a zero set of rank < k - 1 (subset_ranks).
+    Only the check bits build the rows of class_reps_range.
     """
     b = _bundle(cfg)
-    keys, pos, rows = _block_keys(b, start, stop)
-    keys[pos] -= (pairing_batch(b, rows) == 0) * 2          # singular: 0
+    keys = _block_keys(b, start, stop)
     if kind != "theta":
         R = class_reps_range(b.q, b.k, start, stop, dtype=b.ctx.dtype)
         keys += _check_bit(b, kind, R, keys // (2 * (b.m + 1)))
     return keys
 
 
-def _block_keys(b: _Bundle, start: int, stop: int):
-    """The cells (theta, rank, 0) of the classes in [start, stop), counted
-    per run.
+def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
+    """The cells (theta, rank class, 0) of the classes in [start, stop),
+    counted per run.
 
     The row of a class is the base-q expansion of its code D = local
     index + q^tail in its lead block, so the q^m classes of one run
@@ -354,10 +368,24 @@ def _block_keys(b: _Bundle, start: int, stop: int):
     So one bincount of the q^(m-1) x q coset codes of a run counts every
     last row at once, one increment per class.  Its c = 0 codes run over
     the row space of R', which gives rank M = rank R' + [r off that space].
+    The rank-1 classes lie in the runs with rank R' <= 1; their rows come
+    from their digits, and a vanishing pairing_batch (singular) moves
+    them to rank class 0.
 
-    Returns the flat cells as class_keys lays them out, with the rank for
-    the rank class, and the positions and rows of the rank-1 classes,
-    which lie in the runs with rank R' <= 1.
+    Without orbits every run counts: the keys are one per class, in
+    class order.  With orbits only the least run of each Frobenius orbit
+    counts (_orbit_weights), and the keys of its classes in the range
+    come packed at the front of one range-sized buffer; a class of a run
+    of orbit size w has its cell plus (t - w) times the number of cells,
+    so that one bincount of the keys counts the cells per orbit size.
+    tau(x) = x^p commutes with sigma and fixes 0 and 1, so it maps run u
+    to run tau(u), digit by digit, and r to tau(r); xi M = lambda sigma(xi)
+    holds exactly when tau(xi) tau(M) = tau(lambda) sigma(tau(xi)), so
+    theta, the rank and a vanishing pairing are tau-invariant and the
+    runs of one orbit hold the same cells.  A run that the range cuts
+    counts its part in the range, so the chunks of a sweep add up to the
+    whole orbits.  The first run that holds a cell is the least of its
+    orbit, so the first chunk with a class in a cell still counts it.
     """
     q, m, k = b.q, b.m, b.k
     qm = q ** m
@@ -365,37 +393,71 @@ def _block_keys(b: _Bundle, start: int, stop: int):
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
     keys = np.empty(stop - start, dtype=np.intp)
+    cells = 2 * (b.F + 1) * (m + 1)
     pos, codes = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     S = max(1, _RUN_SLICE // qm)                           # runs per slice
+    at = 0                                      # keys written so far
     for tail in range(k):
         block_lo = num_classes(q, tail)
         lo, hi = max(start, block_lo), min(stop, block_lo + q ** tail)
         if lo >= hi:
             continue
-        u, r = divmod(lo - block_lo + q ** tail, qm)       # class lo's run
-        first = lo - r              # where run u would start, at r = 0
-        runs = _run_arrays(b, u, -(-(hi - first) // qm))
-        a = lo
-        while a < hi:           # a run the range cuts is a slice of its own
-            s, off = divmod(a - first, qm)
-            whole = 0 if off or hi - a < qm else min(S, (hi - a) // qm)
-            z = a + whole * qm if whole else min(hi, a - off + qm)
-            p1 = _count_slice(b, [v[s:s + max(whole, 1)] for v in runs],
-                              off, keys[a - start:z - start])
-            pos.append(p1 + (a - start))
-            codes.append(p1 + (a - block_lo + q ** tail))
-            a = z
+        D0, D1 = lo - block_lo + q ** tail, hi - block_lo + q ** tail
+        u = np.arange(D0 // qm, -(-D1 // qm), dtype=np.int64)
+        if orbits:
+            w = _orbit_weights(b, u)
+            u, lift = u[w > 0], (b.ctx.t - w[w > 0]) * cells
+            if not len(u):
+                continue
+        # the codes of each run in the range: only the first and the last
+        # run can be cut, and a cut run is a slice of its own
+        head = np.maximum(D0 - u * qm, 0)
+        end = np.minimum(D1 - u * qm, qm)
+        cut = (head > 0) | (end < qm)
+        runs = _run_arrays(b, u)
+        i = 0
+        while i < len(u):
+            j = i + 1 if cut[i] else min(i + S, len(u) - int(cut[-1]))
+            off = int(head[i])
+            out = keys[at:at + (j - i - 1) * qm + int(end[j - 1]) - off]
+            p1 = _count_slice(b, [v[i:j] for v in runs], off, out)
+            if orbits and lift[i:j].any():
+                out.reshape(j - i, -1)[:] += lift[i:j, None]
+            s, r = np.divmod(p1 + off, qm)
+            pos.append(p1 + at)
+            codes.append(u[i + s] * qm + r)
+            at += len(out)
+            i = j
+    keys = keys[:at]
     rows = _digits(np.concatenate(codes), q, k).astype(b.ctx.dtype)
-    return keys, np.concatenate(pos), rows
+    keys[np.concatenate(pos)] -= (pairing_batch(b, rows) == 0) * 2  # singular
+    return keys
 
 
-def _run_arrays(b: _Bundle, u: int, U: int):
-    """The base count, rank R' and offsets -o of the runs u .. u + U - 1:
+def _orbit_weights(b: _Bundle, u: np.ndarray) -> np.ndarray:
+    """The orbit size of each run number u under the Frobenius x -> x^p,
+    applied to its m (m - 1) digits, where u is the least of its orbit,
+    else 0.  The size is the least i >= 1 with tau^i(u) = u, t if none."""
+    t = b.ctx.t
+    if t == 1:                                          # prime q: tau = 1
+        return np.ones(len(u), dtype=np.int64)
+    d = _digits(u, b.q, b.m * (b.m - 1))
+    size = np.full(len(u), t, dtype=np.int64)
+    least = np.ones(len(u), dtype=bool)
+    for i in range(1, t):
+        d = b.frobenius.take(d)
+        image = _codes(b.q, d)
+        least &= u <= image
+        size[(image == u) & (size == t)] = i
+    return size * least
+
+
+def _run_arrays(b: _Bundle, u: np.ndarray):
+    """The base count, rank R' and offsets -o of the runs numbered u:
     -o = -xi' R' for every xi', as (U, q^(m-1)) codes for p = 2, else as
     (U, m, q^(m-1)) digits."""
     ctx, q, m = b.ctx, b.q, b.m
-    Rp = _digits(np.arange(u, u + U, dtype=np.int64), q, m * (m - 1))
-    Rp = Rp.astype(ctx.dtype).reshape(U, m - 1, m)
+    Rp = _digits(u, q, m * (m - 1)).astype(ctx.dtype).reshape(-1, m - 1, m)
     xis, normal, lead, lines0, rank_of = b.run_tables
     V = matmul(ctx, normal, Rp)                            # xi'' R'
     on, each = _codes(q, V), np.arange(len(normal))
@@ -537,18 +599,28 @@ def _check_bit(b: _Bundle, kind: str, R: np.ndarray,
 
 
 def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
-    """Count the classes in [start, stop) per cell (class_keys).
+    """Count the classes in [start, stop) per cell.
 
-    Only opts["kind"] is read.  Returns start, stop, classes and table,
-    the (F + 1, m + 1, 2) counts over (theta, rank class, check bit);
-    chunks fold by adding their tables.
+    Only opts["kind"] is read.  Returns start, stop, classes (always
+    stop - start) and table, the (F + 1, m + 1, 2) counts over (theta,
+    rank class, check bit); chunks fold by adding their tables.  The
+    check kinds count the keys of class_keys, every class checked; the
+    "theta" kind counts only the least run of each Frobenius orbit,
+    weighted by the orbit's size (_block_keys), so a chunk's table can
+    differ from that of its own classes, but the tables of the chunks of
+    [0, total) add up to the same counts, and a cell's first chunk is
+    the same.
     """
     b = _bundle(cfg)
     shape = (b.F + 1, b.m + 1, 2)
-    keys = class_keys(cfg, opts["kind"], start, stop)
-    table = np.bincount(keys, minlength=math.prod(shape)).reshape(shape)
+    if opts["kind"] == "theta":     # key band t - w: orbits of size w
+        keys, bands = _block_keys(b, start, stop, orbits=True), b.ctx.t
+    else:
+        keys, bands = class_keys(cfg, opts["kind"], start, stop), 1
+    counts = np.bincount(keys, minlength=bands * math.prod(shape))
+    table = np.arange(bands, 0, -1) @ counts.reshape(bands, -1)
     return {"start": start, "stop": stop, "classes": stop - start,
-            "table": table}
+            "table": table.reshape(shape)}
 
 
 def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,

@@ -537,6 +537,109 @@ def test_chunk_boundaries_do_not_lose_classes():
         assert np.array_equal(halves[0] + halves[1], whole)
 
 
+def _class_route(ps, chunk):
+    """The theta table per class, np.bincount of class_keys over [0, total),
+    and per cell the start of the chunk of its first class (0 where none)."""
+    b = bulk._bundle(ps.cfg)
+    shape = (b.F + 1, b.m + 1, 2)
+    total = num_classes(ps.ctx.q, ps.k)
+    counts = np.zeros(np.prod(shape), dtype=np.int64)
+    first = np.full(np.prod(shape), total)
+    for a in range(0, total, 1 << 20):      # pieces: no 19M-key array
+        keys = bulk.class_keys(ps.cfg, "theta", a, min(a + (1 << 20), total))
+        piece = np.bincount(keys, minlength=len(counts))
+        if ((piece > 0) & (counts == 0)).any():         # a new cell
+            cell, at = np.unique(keys, return_index=True)
+            first[cell] = np.minimum(first[cell], a + at)
+        counts += piece
+    first = np.where(counts > 0, first // chunk * chunk, 0)
+    return counts.reshape(shape), first.reshape(shape)
+
+
+@pytest.mark.parametrize("cfg, runs", [
+    ((2, 2, 1, 2), "all"),
+    ((2, 3, 1, 2), "one"), ((2, 3, 2, 2), "one"),       # (8, 2), j = 1, 2
+    ((2, 2, 1, 1), "all"), ((2, 3, 1, 1), "all"), ((3, 2, 1, 1), "all"),
+    ((2, 4, 1, 1), "all"), ((2, 4, 2, 1), "all"), ((5, 2, 1, 1), "all"),
+    ((3, 3, 1, 1), "all"),
+    ((11, 1, 0, 1), "all")],                # prime q: every run its orbit
+    ids=["q4n2", "q8n2", "q8n2j2", "q4n1", "q8n1", "q9n1", "q16n1",
+         "q16n1j2", "q25n1", "q27n1", "q11n1"])
+def test_orbit_folded_theta_sweep_matches_the_class_route(cfg, runs,
+                                                          monkeypatch):
+    # a theta chunk counts only the least run of each Frobenius orbit,
+    # weighted by its size, so its table is not that of its own classes;
+    # the folded record, counts and first chunks, is the class route's.
+    # Chunks of 1000 and 4099 classes cut runs (q^m = 64 .. 19683); at
+    # (8, 2), 19,173,961 classes, one of these sweeps takes 1.5-7 s, so
+    # those run once
+    ps = system(*cfg)
+    combos = [(1000, 1), (1000, 2), (4099, 1), (4099, 2)]
+    for chunk, threads in combos if runs == "all" else [(4099, 2)]:
+        monkeypatch.setattr(bulk, "DEFAULT_CHUNK", chunk)
+        sweep = _Sweep(ps, "theta", threads)
+        table, first = _class_route(ps, chunk)
+        assert np.array_equal(sweep.table, table), (chunk, threads)
+        assert np.array_equal(np.where(table > 0, sweep.first, 0), first), \
+            (chunk, threads)
+
+
+def test_unweighted_orbits_miss_classes(monkeypatch):
+    # with every counted run at weight 1 the sweep loses the other runs
+    # of each orbit, and _Sweep's class count catches it
+    weights = bulk._orbit_weights
+    monkeypatch.setattr(bulk, "_orbit_weights",
+                        lambda b, u: (weights(b, u) > 0).astype(np.int64))
+    with pytest.raises(AssertionError):
+        _Sweep(system(2, 2, 1, 2), "theta", 1)
+
+
+def test_orbit_weights_cover_each_lead_block():
+    # tau = x^2 has order 4 at q = 16: the counted runs have orbit sizes
+    # 1, 2 and 4, and tau keeps each lead block, so in each block the
+    # sizes of the counted runs add up to the block's run count
+    ps = system(2, 4, 1, 2)
+    b = bulk._bundle(ps.cfg)
+    q, qm = b.q, b.q ** b.m
+    seen = set()
+    for tail in range(ps.k):
+        u = np.arange(q ** tail // qm, -(-2 * q ** tail // qm))
+        w = bulk._orbit_weights(b, u)
+        assert w.sum() == len(u), tail
+        seen |= set(w[w > 0].tolist())
+    assert seen == {1, 2, 4}
+
+
+def test_theta_chunks_report_every_class():
+    # perfbench's tracer counts bulk.classes from sweep_chunk's classes,
+    # which stays the range's size when the chunk counts fewer runs
+    ps = system(2, 3, 1, 2)
+    b = bulk._bundle(ps.cfg)
+    counted = set()
+    for i in (0, 14, 20):       # some, none and all of the runs
+        start, stop = i << 18, (i + 1) << 18
+        res = bulk.sweep_chunk(ps.cfg, {"kind": "theta"}, start, stop)
+        assert res["classes"] == stop - start
+        counted.add(len(bulk._block_keys(b, start, stop, orbits=True)))
+    assert min(counted) == 0 and max(counted) == 1 << 18 and len(counted) == 3
+
+
+SPECTRUM_9_2_1 = {0: 1, 702: 60480, 720: 58968, 729: 7280, 774: 8845200,
+                  783: 6289920, 792: 10614240, 801: 75479040,
+                  810: 181555920, 819: 104509440}
+
+
+def test_exhaustive_spectrum_at_q9(monkeypatch):
+    # the end-to-end oracle for odd p at t = 2, over all 48,427,561
+    # classes: the spectrum was recorded by a sweep that counted every run
+    ps = system(3, 2, 1, 2)
+    monkeypatch.setattr(bulk, "EXHAUSTIVE_CAP", num_classes(9, 9))
+    table = weight_spectrum(ps, flag_check=False, threads=2)
+    assert table.mode == "exhaustive"
+    assert table.classes == 48_427_561
+    assert table.counts == SPECTRUM_9_2_1
+
+
 def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch):
     # a witness is re-read from the first chunk where its cell turns up;
     # with chunks of 2^10 the (4, 2) sweep has 86 of them
