@@ -11,6 +11,9 @@ and odd p adds digitwise through add_np.  Over 2^18 classes (2 vCPU) a
 theta chunk takes 11-15 ns per class at (8, 2, 1), against 43-74 through
 theta_descent on planes, and 23-32 against 560-690 at (9, 2, 1).
 
+A run is read off the class codes, not rows, through the one codec of
+the class order in projgeom (lead_blocks, digits and codes).
+
 The Frobenius tau(x) = x^p commutes with sigma and fixes 0 and 1, so it
 acts digit by digit on the class codes and maps run u onto run tau(u)
 with the same cells: theta, the rank and a vanishing pairing are
@@ -65,7 +68,8 @@ from .embedding import build_system
 from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
-from .projgeom import class_reps_range, line_array, num_classes
+from .projgeom import (class_reps_range, codes, digits, lead_blocks,
+                       line_array, num_classes)
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -117,13 +121,13 @@ class _Bundle:
         codes of their lines F_q sigma(xi'', 0), (N'', q); and rank R' by
         the number of xi'' with xi'' R' = 0."""
         ctx, q, m = self.ctx, self.q, self.m
-        xis = _digits(np.arange(q ** (m - 1)), q, m - 1).astype(ctx.dtype)
+        xis = digits(np.arange(q ** (m - 1)), q, m - 1, ctx.dtype)
         count = num_classes(q, m - 1)
         normal = class_reps_range(q, m - 1, 0, count, dtype=ctx.dtype)
         sxi = np.concatenate([self.spec.table.take(normal),
                               np.zeros((count, 1), ctx.dtype)], axis=1)
         c = np.arange(q, dtype=ctx.dtype)[:, None]
-        lines = _codes(q, ctx.mul_np(c, sxi[:, None, :]))
+        lines = codes(q, ctx.mul_np(c, sxi[:, None, :]))
         rank_of = np.full(count + 1, -1, dtype=np.int8)
         rank_of[[num_classes(q, m - 1 - r) for r in range(m)]] = range(m)
         return xis, normal, (normal != 0).argmax(axis=1), lines, rank_of
@@ -359,12 +363,13 @@ def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
     counted per run.
 
     The row of a class is the base-q expansion of its code D = local
-    index + q^tail in its lead block, so the q^m classes of one run
-    D // q^m share their first m - 1 rows R' and take every last row r,
-    in code order D mod q^m.  theta counts the functional classes xi with
-    xi M in F_q sigma(xi) (fixed_scan), regrouped: those (xi'', 0) with
-    xi'' R' on its line are the run's base, and (xi', 1) M = o + r with
-    o = xi' R' counts for r exactly on the coset -o + F_q sigma(xi', 1).
+    index + q^tail in its lead block (projgeom.lead_blocks and digits),
+    so the q^m classes of one run D // q^m share their first m - 1 rows
+    R' and take every last row r, in code order D mod q^m.  theta counts
+    the functional classes xi with xi M in F_q sigma(xi) (fixed_scan),
+    regrouped: those (xi'', 0) with xi'' R' on its line are the run's
+    base, and (xi', 1) M = o + r with o = xi' R' counts for r exactly on
+    the coset -o + F_q sigma(xi', 1).
     So one bincount of the q^(m-1) x q coset codes of a run counts every
     last row at once, one increment per class.  Its c = 0 codes run over
     the row space of R', which gives rank M = rank R' + [r off that space].
@@ -389,20 +394,14 @@ def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
     """
     q, m, k = b.q, b.m, b.k
     qm = q ** m
-    total = num_classes(q, k)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
+    blocks = lead_blocks(q, k, start, stop)
     keys = np.empty(stop - start, dtype=np.intp)
     cells = 2 * (b.F + 1) * (m + 1)
-    pos, codes = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
+    pos, rank1 = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     S = max(1, _RUN_SLICE // qm)                           # runs per slice
     at = 0                                      # keys written so far
-    for tail in range(k):
-        block_lo = num_classes(q, tail)
-        lo, hi = max(start, block_lo), min(stop, block_lo + q ** tail)
-        if lo >= hi:
-            continue
-        D0, D1 = lo - block_lo + q ** tail, hi - block_lo + q ** tail
+    for _, lo, hi, D0 in blocks:
+        D1 = D0 + hi - lo
         u = np.arange(D0 // qm, -(-D1 // qm), dtype=np.int64)
         if orbits:
             w = _orbit_weights(b, u)
@@ -425,11 +424,11 @@ def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
                 out.reshape(j - i, -1)[:] += lift[i:j, None]
             s, r = np.divmod(p1 + off, qm)
             pos.append(p1 + at)
-            codes.append(u[i + s] * qm + r)
+            rank1.append(u[i + s] * qm + r)
             at += len(out)
             i = j
     keys = keys[:at]
-    rows = _digits(np.concatenate(codes), q, k).astype(b.ctx.dtype)
+    rows = digits(np.concatenate(rank1), q, k, b.ctx.dtype)
     keys[np.concatenate(pos)] -= (pairing_batch(b, rows) == 0) * 2  # singular
     return keys
 
@@ -441,12 +440,12 @@ def _orbit_weights(b: _Bundle, u: np.ndarray) -> np.ndarray:
     t = b.ctx.t
     if t == 1:                                          # prime q: tau = 1
         return np.ones(len(u), dtype=np.int64)
-    d = _digits(u, b.q, b.m * (b.m - 1))
+    d = digits(u, b.q, b.m * (b.m - 1), b.ctx.dtype)
     size = np.full(len(u), t, dtype=np.int64)
     least = np.ones(len(u), dtype=bool)
     for i in range(1, t):
         d = b.frobenius.take(d)
-        image = _codes(b.q, d)
+        image = codes(b.q, d)
         least &= u <= image
         size[(image == u) & (size == t)] = i
     return size * least
@@ -457,10 +456,10 @@ def _run_arrays(b: _Bundle, u: np.ndarray):
     -o = -xi' R' for every xi', as (U, q^(m-1)) codes for p = 2, else as
     (U, m, q^(m-1)) digits."""
     ctx, q, m = b.ctx, b.q, b.m
-    Rp = _digits(u, q, m * (m - 1)).astype(ctx.dtype).reshape(-1, m - 1, m)
+    Rp = digits(u, q, m * (m - 1), ctx.dtype).reshape(-1, m - 1, m)
     xis, normal, lead, lines0, rank_of = b.run_tables
     V = matmul(ctx, normal, Rp)                            # xi'' R'
-    on, each = _codes(q, V), np.arange(len(normal))
+    on, each = codes(q, V), np.arange(len(normal))
     lam = V[:, each, lead]                                 # its factor
     base = (on == lines0[each, lam]).sum(axis=1)
     rank_p = rank_of[(on == 0).sum(axis=1)]
@@ -523,7 +522,7 @@ def _offset_codes(ctx: FieldCtx, Rp: np.ndarray) -> np.ndarray:
     double up by one XOR per bit of xi', lowest first."""
     S = len(Rp)
     y = np.left_shift(1, np.arange(ctx.t))[:, None]
-    basis = _codes(ctx.q, ctx.mul_np(Rp[:, :, None, :], y))   # (S, m-1, t)
+    basis = codes(ctx.q, ctx.mul_np(Rp[:, :, None, :], y))    # (S, m-1, t)
     bits = basis[:, ::-1].reshape(S, -1)
     o = np.zeros((S, 1 << bits.shape[1]), dtype=np.intp)
     for i in range(bits.shape[1]):
@@ -545,25 +544,8 @@ def _sigma_lines(cfg: tuple, x0: int, x1: int) -> np.ndarray:
     lines = ctx.mul_np(np.arange(b.q, dtype=ctx.dtype)[:, None],
                        sxi.T[:, None, :])                  # (m, q, X)
     if ctx.p == 2:
-        return _codes(b.q, np.moveaxis(lines, 0, -1))
+        return codes(b.q, np.moveaxis(lines, 0, -1))
     return lines
-
-
-def _digits(v: np.ndarray, q: int, width: int) -> np.ndarray:
-    """The width base-q digits of each entry of v, most significant first."""
-    out = np.empty(v.shape + (width,), dtype=np.int64)
-    for c in range(width - 1, -1, -1):
-        v, out[..., c] = np.divmod(v, q)
-    return out
-
-
-def _codes(q: int, v: np.ndarray) -> np.ndarray:
-    """The base-q values of the digit rows of v, most significant first."""
-    out = v[..., 0].astype(np.intp)
-    for c in range(1, v.shape[-1]):
-        out *= q
-        out += v[..., c]
-    return out
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -581,7 +563,7 @@ def _check_bit(b: _Bundle, kind: str, R: np.ndarray,
         return z != base_cardinality(b.q, b.n) + per_theta
     if kind == "cond":
         scan, sol = theta_batch(b, R, want_solmask=True)
-        assert np.array_equal(scan, theta), "scan and descent theta differ"
+        assert np.array_equal(scan, theta), "scan and block theta differ"
         contained = np.zeros(R.shape[0], dtype=bool)
         for mk in b.dual_line_masks:
             contained |= (sol & ~mk) == 0

@@ -8,6 +8,10 @@ tuples; equivalently, classes are blocked by the position of the leading 1
 The same order is used for points of PG, for functionals, and for the
 flattened matrix classes in exhaustive sweeps, so "first witness in sweep
 order" is well defined everywhere.
+
+One codec encodes and decodes the order: in the lead block with tail
+digits after the leading 1, local index C has the code D = C + q^tail,
+whose base-q digits are the row (lead_blocks, digits and codes).
 """
 
 from __future__ import annotations
@@ -35,72 +39,82 @@ def num_classes(q: int, k: int) -> int:
     return (q ** k - 1) // (q - 1)
 
 
+def lead_blocks(q: int, k: int, start: int, stop: int) -> list[tuple]:
+    """(tail, lo, hi, D) per lead block that classes start..stop-1 meet,
+    in order: its classes lo..hi-1, tail digits after the leading 1 and D,
+    the code of class lo.  Raises ValueError on a range outside the order."""
+    total = num_classes(q, k)
+    if not 0 <= start <= stop <= total:
+        raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
+    blocks = []
+    for tail in range(k):
+        block_lo = num_classes(q, tail)       # classes before this block
+        lo, hi = max(start, block_lo), min(stop, block_lo + q ** tail)
+        if lo < hi:
+            blocks.append((tail, lo, hi, lo - block_lo + q ** tail))
+    return blocks
+
+
+def digits(v: np.ndarray, q: int, width: int, dtype=np.int64) -> np.ndarray:
+    """The width base-q digits of each 0 <= v < q^width as dtype, most
+    significant first: width - 1 divmods from the least significant end,
+    in uint32 where q^width <= 2^32, else int64, leave the top digit."""
+    v = v.astype(np.uint32 if q ** width <= 1 << 32 else np.int64, copy=False)
+    out = np.empty(v.shape + (width,), dtype=dtype)
+    for c in range(width - 1, 0, -1):
+        v, out[..., c] = np.divmod(v, q)
+    out[..., :1] = v[..., None]             # the top digit, none at width 0
+    return out
+
+
+def codes(q: int, v: np.ndarray) -> np.ndarray:
+    """The base-q values of the digit rows of v, most significant first."""
+    out = v[..., 0].astype(np.intp)
+    for c in range(1, v.shape[-1]):
+        out *= q
+        out += v[..., c]
+    return out
+
+
 def class_reps_range(q: int, k: int, start: int, stop: int,
                      dtype=np.int64) -> np.ndarray:
     """Rows start..stop-1 of the global class order, as a (stop-start, k) array.
 
     Row layout: zeros, then the leading 1 at position lead, then the tail
     digits of the local index in base q, most significant digit first (that
-    is what makes the order lexicographic).  The digits are peeled off by
-    divmod from the least significant end, in uint32 while q^tail < 2^32.
+    is what makes the order lexicographic): the k digits of the class code.
     """
-    total = num_classes(q, k)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
-    out = np.zeros((stop - start, k), dtype=dtype)
-    for lead in range(k - 1, -1, -1):
-        tail_len = k - 1 - lead
-        block_lo = num_classes(q, tail_len)   # classes before this block
-        block_hi = block_lo + q ** tail_len
-        lo = max(start, block_lo)
-        hi = min(stop, block_hi)
-        if lo >= hi:
-            continue
-        wide = q ** tail_len >= 1 << 32
-        local = np.arange(lo - block_lo, hi - block_lo,
-                          dtype=np.int64 if wide else np.uint32)
-        seg = out[lo - start:hi - start]
-        seg[:, lead] = 1
-        for col in range(k - 1, lead, -1):
-            local, seg[:, col] = np.divmod(local, q)
-    return out
+    blocks = lead_blocks(q, k, start, stop)
+    D = [np.arange(d, d + hi - lo, dtype=np.int64) for _, lo, hi, d in blocks]
+    return digits(np.concatenate(D or [np.empty(0, np.int64)]), q, k, dtype)
 
 
 def class_planes_range(pf: Planes, k: int, start: int,
                        stop: int) -> np.ndarray:
     """Bit planes of class_reps_range(2^t, k, start, stop).T, (t, k, W) uint64.
 
-    At q = 2^t the row of a class is the binary expansion of
-    D = local index + q^tail: tail digit d is bits t d .. t d + t - 1 of
-    the local index, and bit t tail is the leading 1.  So plane i of
-    column col is bit e = t (k - 1 - col) + i of D, and no row is built.
-    Lane b of word w is the class start + 64 w + b; in one lead block
-    D = 64 (c + w) + o + b for one c and o < 64.  Bits 0..5 of D are one
-    pattern of o in every word, and bit e >= 6 fills the lanes below
-    64 - o from bit e - 6 of c + w and the rest from bit e - 6 of
+    At q = 2^t the row of a class is the binary expansion of its code D,
+    so plane i of column col is bit e = t (k - 1 - col) + i of D, and no
+    row is built.  Lane b of word w is the class start + 64 w + b; in one
+    lead block D = 64 (c + w) + o + b for one c and o < 64.  Bits 0..5 of
+    D are one pattern of o in every word, and bit e >= 6 fills the lanes
+    below 64 - o from bit e - 6 of c + w and the rest from bit e - 6 of
     c + w + 1.  A lane mask per block clips at its seams.  Raises
     ValueError where D would need more than 70 bits.
     """
     t = pf.t
-    q = 1 << t
-    total = num_classes(q, k)
-    if not 0 <= start <= stop <= total:
-        raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
+    blocks = lead_blocks(1 << t, k, start, stop)
     u64 = np.uint64
     out = np.zeros((t, k, -(-(stop - start) // 64)), dtype=u64)
     ones = ~u64(0)
     lanes = np.arange(64, dtype=u64)
-    for tail in range(k):
-        block_lo = num_classes(q, tail)
-        lo = max(start, block_lo) - start          # the block's lanes
-        hi = min(stop, block_lo + q ** tail) - start
-        if lo >= hi:
-            continue
+    for tail, lo, hi, D in blocks:
         bits = t * (tail + 1)                       # D < 2 q^tail
         if bits > 70:
             raise ValueError(f"{bits}-bit class rows: planes take at most 70")
+        lo, hi = lo - start, hi - start             # the block's lanes
         w0, w1 = lo // 64, -(-hi // 64)
-        c, o = divmod(start + 64 * w0 - block_lo + q ** tail, 64)
+        c, o = divmod(D - lo % 64, 64)
         low = np.arange(min(bits, 6), dtype=u64)[:, None]
         low = np.bitwise_or.reduce((o + lanes >> low & 1) << lanes, axis=1)
         counter = np.arange(w1 - w0 + 1, dtype=u64) + u64(c % (1 << 64))
@@ -122,28 +136,26 @@ def class_index(q: int, k: int, rep) -> int:
     rep = list(map(int, rep))
     if len(rep) != k:
         raise ValueError(f"expected {k} digits, got {len(rep)}")
-    lead = next((i for i, d in enumerate(rep) if d), None)
-    if lead is None or rep[lead] != 1:
+    if next((d for d in rep if d), 0) != 1:
         raise ValueError("representative is not normalized (leading digit != 1)")
-    tail_len = k - 1 - lead
-    local = 0
-    for d in rep[lead + 1:]:
-        local = local * q + d
-    return num_classes(q, tail_len) + local
+    return int(class_indices(q, rep))
 
 
 def class_indices(q: int, reps) -> np.ndarray:
     """class_index of every normalized representative along the last axis.
 
     With tail = k - 1 - lead, the index is (q^tail - 1)/(q - 1) plus the
-    digits read in base q, minus the leading 1's q^tail.
+    class code, minus the leading 1's q^tail.  Raises ValueError where
+    the codes of k digits could pass int64.
     """
-    reps = np.asarray(reps, dtype=np.int64)
+    reps = np.asarray(reps)
     k = reps.shape[-1]
+    if q ** (k - 1) > 1 << 62:                  # codes reach 2 q^(k-1) - 1
+        raise ValueError(f"{k}-digit class codes over GF({q}) overflow int64")
     tail = k - 1 - np.argmax(reps != 0, axis=-1)
     offset = np.array([num_classes(q, t) - q ** t for t in range(k)],
                       dtype=np.int64)
-    return offset[tail] + reps @ q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return offset[tail] + codes(q, reps)
 
 
 def normalize_tuple(ctx: FieldCtx, vec) -> tuple[int, ...]:
@@ -261,14 +273,13 @@ def line_array(ctx: FieldCtx, dim: int) -> np.ndarray:
             free1 = [c for c in range(i + 1, dim) if c != j]
             free2 = list(range(j + 1, dim))
             f = len(free1) + len(free2)
-            digits = (np.arange(q ** f)[:, None]
-                      // q ** np.arange(f - 1, -1, -1)) % q
+            free = digits(np.arange(q ** f), q, f, ctx.dtype)
             row1 = np.zeros((q ** f, dim), dtype=ctx.dtype)
             row2 = np.zeros((q ** f, dim), dtype=ctx.dtype)
             row1[:, i] = 1
-            row1[:, free1] = digits[:, :len(free1)]
+            row1[:, free1] = free[:, :len(free1)]
             row2[:, j] = 1
-            row2[:, free2] = digits[:, len(free1):]
+            row2[:, free2] = free[:, len(free1):]
             pts = ctx.add_np(ctx.mul_np(lam, row2[:, None, :]), row1[:, None, :])
             blocks.append(np.concatenate(
                 [class_indices(q, pts), class_indices(q, row2)[:, None]], axis=1))

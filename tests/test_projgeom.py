@@ -1,11 +1,16 @@
 """Projective class enumeration, indexing, lines and fixed classes."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import twistcode
 from twistcode import class_index, class_reps_range, enumerate_pg, \
     make_autspec, make_field, num_classes, sigma_fixed_points
-from twistcode.projgeom import (class_planes_range, enumerate_lines, incident,
+from twistcode.projgeom import (class_indices, class_planes_range, codes,
+                                digits, enumerate_lines, incident,
                                 line_through, normalize_tuple, span_classes)
 
 import naive_ref
@@ -52,6 +57,62 @@ def test_class_planes_are_the_packed_class_rows(t, k):
     if t * k > 70:          # the last classes' local index is too wide
         with pytest.raises(ValueError, match="at most 70"):
             class_planes_range(pf, k, total - 1, total)
+
+
+@pytest.mark.parametrize("q,k", [(8, 9), (4, 16), (16, 9), (16, 16)])
+def test_class_codec_round_trips_at_every_seam(q, k):
+    # q^k = 2^27 and exactly 2^32 divide in uint32, 2^36 and 2^64 in
+    # int64; at (16, 16) the codes of the last classes reach 2^61
+    total = num_classes(q, k)
+    ranges = [(0, 3), (total - 150, total)]
+    ranges += [(max(num_classes(q, tail) - 70, 0), num_classes(q, tail) + 70)
+               for tail in range(1, k)]
+    for a, b in ranges:
+        R = class_reps_range(q, k, a, b)
+        assert np.array_equal(class_indices(q, R), np.arange(a, b)), (a, b)
+        assert [class_index(q, k, r) for r in R] == list(range(a, b))
+        # normalized and in strictly increasing lexicographic order
+        lead = (R != 0).argmax(axis=1)
+        assert (R[np.arange(len(R)), lead] == 1).all()
+        assert [tuple(r) for r in R.tolist()] == sorted(map(tuple, R.tolist()))
+        assert len(set(map(tuple, R.tolist()))) == len(R)
+        # a row is the digits of its code, written straight as any dtype
+        assert np.array_equal(digits(codes(q, R), q, k), R)
+        assert np.array_equal(class_reps_range(q, k, a, b, dtype=np.uint8), R)
+    for w in (k - 1, k):
+        top = min(q ** w, 1 << 63) - 1
+        v = np.array([0, 1, q - 1, q, top // q, top // 2, top - 1, top])
+        assert np.array_equal(codes(q, digits(v, q, w)), v), w
+
+
+def test_class_codec_refuses_codes_beyond_int64():
+    # 5^27 < 2^63 < 2 * 5^27: the last class's code would wrap
+    for k in (28, 40):
+        with pytest.raises(ValueError, match="overflow int64"):
+            class_indices(5, [1] + [4] * (k - 1))
+        with pytest.raises(ValueError, match="overflow int64"):
+            class_index(5, k, [1] + [4] * (k - 1))
+    assert class_index(5, 27, [1] + [4] * 26) == num_classes(5, 27) - 1
+    # the code of the first class with 63 binary digits after its leading
+    # 1 is 2^63: no row, rather than one read from a float
+    first = num_classes(2, 63)
+    assert class_reps_range(2, 65, first - 1, first)[0, 2:].all()
+    with pytest.raises(OverflowError):
+        class_reps_range(2, 65, first, first + 1)
+
+
+def test_only_projgeom_expands_base_q_digits():
+    # the class-order codec (lead_blocks, digits, codes) lives in
+    # projgeom.py alone; divmod by anything but q, as in gamma's flag keys
+    # and the runs of bulk._block_keys, splits positions, not digits
+    src = Path(twistcode.__file__).parent
+    helper = re.compile(r"^def \w*(digits|codes)\w*\([^)]*\bq\b", re.M)
+    expand = re.compile(r"divmod\([^()]*,\s*q\s*\)")
+    found = sorted(path.name for path in src.glob("*.py")
+                   if path.name != "projgeom.py"
+                   and (helper.search(text := path.read_text())
+                        or expand.search(text)))
+    assert found == []
 
 
 def test_rep_at_agrees_with_full_enumeration():
