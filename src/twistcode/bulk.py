@@ -8,8 +8,9 @@ one bincount of the q^m coset codes of a run counts theta for all its
 classes, one increment per class; the codes at c = 0 run over the row
 space of R', which gives rank M.  At p = 2 a coset code is one XOR of codes,
 and odd p adds digitwise through add_np.  Over 2^18 classes (2 vCPU) a
-theta chunk takes 11-15 ns per class at (8, 2, 1), against 43-74 through
-theta_descent on planes, and 23-32 against 560-690 at (9, 2, 1).
+theta chunk takes 11-15 ns per class at (8, 2, 1) and 23-32 at (9, 2, 1);
+theta_descent takes 270-360 and 400-530 on 2^18 classes from the middle
+of the order.
 
 A run is read off the class codes, not rows, through the one codec of
 the class order in projgeom (lead_blocks, digits and codes).
@@ -25,21 +26,17 @@ class, since their check bit reads the class itself.
 theta_descent, a closed form in the ranks of M and of N(M) - mu I
 (Galois descent), takes theta of seeded draws (sampled_theta and the
 theta = 0 search of hyperplanes.find_fpf_collineation), and the tests
-check the block counts against it.  For p = 2, at every supported
-q = 2^t, it runs on bit planes, 64 classes per machine word (gf.Planes,
-linalg.plane_matmul and linalg.plane_rank); odd p runs on bytes
-(linalg.matmul and linalg.rank_batch), the planes' oracle in the tests.
-At (8, 2, 1) the descent takes 40-48 ns per class on planes against 309
-on bytes; the planes were faster at every t from 1 to 16 tried, so no
-cutoff in t applies.  The flag check and the minimality sweep take their
+check the block counts against it.  It has one kernel at every p,
+_descent_bytes: N(M) from linalg.matmul and the ranks from
+linalg.rank_batch.  The flag check and the minimality sweep take their
 codewords from ProjectiveSystem.codewords; the minimality sweep ranks
 each codeword's zero rows with subset_ranks.
 
 fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
 (kept for the solution masks of min_weight_sweep) runs it on stacks,
-code.theta on single matrices.  The planes aside, every kernel works
-through linalg.matmul and the FieldCtx array operations, so none of
-them needs the q x q field tables, and each works at every q.
+code.theta on single matrices.  Every kernel works through
+linalg.matmul and the FieldCtx array operations, so none of them needs
+the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
 classes per cell (theta, rank class, check bit) of class_keys, a theta
@@ -67,7 +64,7 @@ import numpy as np
 from .embedding import build_system
 from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import matmul, plane_matmul, plane_rank, rank_batch, subset_ranks
+from .linalg import matmul, rank_batch, subset_ranks
 from .projgeom import (class_reps_range, codes, digits, lead_blocks,
                        line_array, num_classes)
 from .rng import SplitMix64
@@ -76,7 +73,6 @@ EXHAUSTIVE_CAP = 2 * 10 ** 7
 PAIR_CAP = 10 ** 9      # class x flag pairs: auto flag check, minimality
 DEFAULT_CHUNK = 1 << 18
 _SLICE = 1 << 14        # rows per _descent_bytes step; bounds its N(M) products
-_PLANE_SLICE = 1 << 16  # rows per _descent_planes step (1024 words a plane)
 _PRODUCTS = 1 << 18  # field products per slice of the scan and zero counts
 _RUN_SLICE = 1 << 16  # coset codes per _block_keys step
 
@@ -233,46 +229,25 @@ def theta_descent(ctx: FieldCtx, spec: AutSpec,
     are looked up per rank.  The mu-sum takes one batched rank per element
     of F_s*, so the cost grows with s.  Reads no q x q table.
 
-    For p = 2 the ranks come from _descent_planes on the packed bit planes
-    of R (64 classes per word), else from _descent_bytes; _fold_ranks
-    walks the batch in slices of each kernel's size, which bounds the
-    N(M) products, and turns the ranks into theta.
-    """
-    m = math.isqrt(R.shape[1])
-    if ctx.p == 2:
-        P = ctx.planes.pack(R.T).reshape(ctx.t, m, m, -1)
-        words = _PLANE_SLICE // 64
-        return _fold_ranks(ctx, spec, m, len(R), _PLANE_SLICE, lambda a, mus:
-                           _descent_planes(ctx, spec,
-                                           P[..., a // 64:a // 64 + words],
-                                           mus))
-    M = R.reshape(-1, m, m)
-    return _fold_ranks(ctx, spec, m, len(M), _SLICE, lambda a, mus:
-                       _descent_bytes(ctx, spec, M[a:a + _SLICE], mus))
-
-
-def _fold_ranks(ctx: FieldCtx, spec: AutSpec, m: int, B: int, step: int,
-                ranks_of) -> tuple[np.ndarray, np.ndarray]:
-    """theta and rank of B classes from their ranks, slice by slice.
-
-    ranks_of(a, mus) yields rank M, then rank(N(M) - mu I) for each mu,
-    for the classes a .. a + step - 1 (a plane kernel pads to whole words:
-    the tail is cut off); theta_descent's closed form adds them up.
+    The ranks come from _descent_bytes, in slices of _SLICE rows, which
+    bounds the N(M) products.
     """
     q, s = ctx.q, spec.s
+    m = math.isqrt(R.shape[1])
+    M = R.reshape(-1, m, m)
     mus = [a for a in range(1, q) if spec.tlist[a] == a]
     dtype = np.min_scalar_type((q ** m - 1) // (q - 1))   # theta <= F
     kern = np.array([(q ** (m - r) - 1) // (q - 1) for r in range(m + 1)], dtype)
     fixed = np.array([(s ** (m - r) - 1) // (s - 1) for r in range(m + 1)], dtype)
-    theta = np.empty(B, dtype=dtype)
-    ranks = np.empty(B, dtype=np.int8)
-    for a in range(0, B, step):
-        th, rk = theta[a:a + step], ranks[a:a + step]
-        rank_iter = ranks_of(a, mus)
-        rk[:] = next(rank_iter)[:len(rk)]
+    theta = np.empty(len(M), dtype=dtype)
+    ranks = np.empty(len(M), dtype=np.int8)
+    for a in range(0, len(M), _SLICE):
+        th, rk = theta[a:a + _SLICE], ranks[a:a + _SLICE]
+        rank_iter = _descent_bytes(ctx, spec, M[a:a + _SLICE], mus)
+        rk[:] = next(rank_iter)
         kern.take(rk, out=th)
         for r in rank_iter:
-            th += fixed.take(r[:len(th)])
+            th += fixed.take(r)
     return theta, ranks
 
 
@@ -288,25 +263,6 @@ def _descent_bytes(ctx: FieldCtx, spec: AutSpec, M: np.ndarray, mus):
         shifted = N.copy()
         shifted[:, diag, diag] = ctx.add_np(N[:, diag, diag], ctx.neg(mu))
         yield rank_batch(ctx, shifted)
-
-
-def _descent_planes(ctx: FieldCtx, spec: AutSpec, P: np.ndarray, mus):
-    """The ranks of _descent_bytes on the planes P (t, m, m, W); p = 2 only.
-
-    One rank per lane, padding lanes included."""
-    pf = ctx.planes
-    yield plane_rank(pf, P)
-    N = S = P
-    for _ in range(spec.order - 1):
-        S = pf.sigma(S, spec)
-        N = plane_matmul(pf, N, S)
-    diag = np.arange(P.shape[1])
-    for mu in mus:
-        shifted = N.copy()
-        for i in range(pf.t):           # mu I: all-ones words on mu's planes
-            if mu >> i & 1:
-                shifted[i, diag, diag] ^= ~np.uint64(0)
-        yield plane_rank(pf, shifted)
 
 
 def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from types import SimpleNamespace
 from typing import NoReturn
@@ -19,7 +20,7 @@ from . import code as code_ops
 from . import hyperplanes as hp
 from .embedding import build_system
 from .gamma import FAMILIES, base_cardinality, build_gamma, flag_count
-from .gf import make_autspec, make_field
+from .gf import Q_CAP, _field_size, make_autspec, make_field
 from .projgeom import POINT_CAP, num_classes
 
 SCHEMA_VERSION = 1
@@ -32,6 +33,8 @@ SCHEMA_VERSION = 1
 def _as_prime_power(q: int) -> tuple[int, int]:
     if q < 2:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
+    if q > Q_CAP:               # before trial division up to sqrt(q)
+        raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
     for p in range(2, q + 1):
         if p * p > q and p != q:
             break
@@ -73,6 +76,7 @@ def _resolve_config(args) -> tuple[int, int, int, tuple | None]:
         p, t = args.p, args.t if args.t is not None else 1
     else:
         raise ValueError("a field is required: --q or --p [--t]")
+    _field_size(p, t)           # bounds t before the --sigma-exp loop
     if args.j is not None and args.sigma_exp is not None:
         raise ValueError("give either --j or --sigma-exp, not both")
     j = args.j or 0
@@ -151,6 +155,7 @@ def _cmd_params(args) -> dict:
     profile = _profile(args, allow_identity=True)
     q, n, j = profile.ctx.q, profile.n, profile.spec.j
     k = (n + 1) ** 2
+    _check_printable(q, n, k)
     return {
         "length": flag_count(q, n),
         "ambient_dimension": k,
@@ -169,6 +174,18 @@ def _cmd_params(args) -> dict:
                          if j and n >= 2 else None),
         "config": _config_payload(profile),
     }
+
+
+def _check_printable(q: int, n: int, k: int) -> None:
+    """Refuse a k whose class count num_classes(q, k), the largest number
+    params prints, has more digits than sys.get_int_max_str_digits() lets
+    json print (Python's default where that is 0).  The count lies in
+    [q^(k-1), q^k), so one far beyond the limit is refused by its
+    logarithm, unformed; int-float comparisons are exact."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if k - 1 > (limit + 1) / math.log10(q) or num_classes(q, k) >= 10 ** limit:
+        raise ValueError(f"params at --n {n} over GF({q}) would print a class "
+                         f"count of more than {limit} digits")
 
 
 def _system(args, allow_identity: bool = False):

@@ -269,8 +269,9 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
     if sample is not None:
         if sample <= 0:
             raise ValueError("sample size must be positive")
-        thetas = bulk.sampled_theta(sys.cfg, sample, seed)
-        counts = Counter(weight_of_theta(q, n, th) for th in thetas.tolist())
+        thetas = np.bincount(bulk.sampled_theta(sys.cfg, sample, seed))
+        counts = {weight_of_theta(q, n, th): c
+                  for th, c in enumerate(thetas.tolist()) if c}
         return SpectrumTable(counts=dict(sorted(counts.items())),
                              mode="sampled", classes=sample,
                              identity_checked=False)

@@ -21,8 +21,6 @@ sum along one axis) read the q x q tables up to q = 1024, with gathers
 in blocks of _GATHER_BLOCK entries; above it they add by XOR (p = 2) or
 Zech and multiply through exp/log, in blocks of as many.  Other modules
 go through them and the scalar operations; none reads the q x q tables.
-For p = 2, FieldCtx.planes (a Planes, built on first use) adds bit-plane
-arithmetic on 64 elements per machine word, with no tables at all.
 
 Field axioms are verified exhaustively at construction for q <= 512 and on
 a fixed deterministic sample of triples above that; the Zech table is
@@ -195,11 +193,16 @@ def _search_primitive_modulus(p: int, t: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 def _field_size(p: int, t: int) -> int:
-    """q = p^t; ValueError unless p is prime, t >= 1 and q <= Q_CAP."""
+    """q = p^t; ValueError unless p is prime, t >= 1 and q <= Q_CAP.  p and
+    t are bounded first, so no huge p is tested and no huge p^t formed."""
+    if p > Q_CAP:
+        raise ValueError(f"p = {p} exceeds the supported cap {Q_CAP} on q")
     if not _is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
+    if t > Q_CAP.bit_length():                  # p^t >= 2^t > Q_CAP
+        raise ValueError(f"q = {p}^{t} exceeds the supported cap {Q_CAP}")
     q = p ** t
     if q > Q_CAP:
         raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
@@ -520,11 +523,6 @@ class FieldCtx:
         out = self.exp[(la + lb) % (self.q - 1)].astype(self.dtype)
         return np.where((a == 0) | (b == 0), 0, out)
 
-    @functools.cached_property
-    def planes(self) -> "Planes":
-        """Bit-plane arithmetic of GF(2^t), built on first use (p = 2 only)."""
-        return Planes(self)
-
     def digits(self, a: int) -> tuple[int, ...]:
         return tuple(_int_digits(a, self.p, self.t))
 
@@ -645,97 +643,3 @@ def norm(ctx: FieldCtx, spec: AutSpec, a: int) -> int:
         raise ValueError("norm requires an involutory sigma != 1 "
                          f"(order is {spec.order})")
     return ctx.mul(a, spec.tlist[a])
-
-
-
-# ---------------------------------------------------------------------------
-# bit planes (p = 2): 64 elements per machine word
-# ---------------------------------------------------------------------------
-
-_WORD = np.dtype("<u8")
-
-
-class Planes:
-    """GF(2^t) arithmetic on bit planes (docs/field-encoding.md).
-
-    A batch of B elements, batch axis last, is held as a uint64 array
-    (t, ..., W) with W = ceil(B / 64): plane i holds digit i, and bit b of
-    word w is element 64 w + b.  Every operation acts on 64 elements per
-    word: addition is XOR, multiplication the carry-less product reduced
-    with the rows y^d mod the modulus, and sigma, being F_2-linear, XORs
-    planes together.  Built lazily, per field, by FieldCtx.planes.
-    """
-
-    def __init__(self, ctx: FieldCtx):
-        if ctx.p != 2:
-            raise ValueError(f"bit planes need characteristic 2, got p = {ctx.p}")
-        t = self.t = ctx.t
-        # y^d mod the modulus (t <= d <= 2t - 2) as the planes it lands on
-        self._reduce = [(d, _bits(ctx.pow(2, d), t)) for d in range(t, 2 * t - 1)]
-
-    # -- layout --------------------------------------------------------------
-
-    def pack(self, a) -> np.ndarray:
-        """Planes of an integer array, batch axis last, zero-padded to 64."""
-        a = np.asarray(a)
-        B = a.shape[-1]
-        pad = np.zeros(a.shape[:-1] + (-(-B // 64) * 64,), dtype=a.dtype)
-        pad[..., :B] = a
-        return np.stack([np.packbits(pad & (1 << i), axis=-1, bitorder="little")
-                         for i in range(self.t)]).view(_WORD)
-
-    def gather(self, a: np.ndarray, lanes: np.ndarray, dtype) -> np.ndarray:
-        """The elements at the batch positions lanes of planes a, batch
-        axis last: the inverse of pack on those lanes."""
-        lanes = np.asarray(lanes, dtype=np.intp)
-        bits = a[..., lanes >> 6] >> (lanes & 63).astype(_WORD) & 1
-        out = np.zeros(a.shape[1:-1] + lanes.shape, dtype=dtype)
-        for i in range(self.t):
-            out |= bits[i].astype(dtype) << i
-        return out
-
-    @staticmethod
-    def unpack_bits(mask: np.ndarray, count: int) -> np.ndarray:
-        """The first count bits of a (..., W) word array, as uint8 0/1."""
-        return np.unpackbits(np.ascontiguousarray(mask, dtype=_WORD).view(np.uint8),
-                             axis=-1, count=count, bitorder="little")
-
-    # -- arithmetic ----------------------------------------------------------
-
-    @staticmethod
-    def nonzero(a: np.ndarray) -> np.ndarray:
-        """Mask of the nonzero elements: the OR of the planes."""
-        return np.bitwise_or.reduce(a, axis=0)
-
-    def clmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Carry-less product (2t - 1 planes, unreduced); broadcasts."""
-        t = self.t
-        c = np.zeros((2 * t - 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]),
-                     dtype=_WORD)
-        for i in range(t):
-            c[i:i + t] ^= a[i] & b
-        return c
-
-    def reduce(self, c: np.ndarray) -> np.ndarray:
-        """Reduce 2t - 1 planes of a carry-less product mod the modulus, in
-        place; y^d for d >= t is read as its fully reduced residue."""
-        for d, rows in self._reduce:
-            for k in rows:
-                c[k] ^= c[d]
-        return c[:self.t]
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(self.clmul(a, b))
-
-    def sigma(self, a: np.ndarray, spec: AutSpec) -> np.ndarray:
-        """Entrywise sigma.  It is F_2-linear, so plane i goes to the planes
-        of sigma(y^i), read from spec.table at the encoding 2^i."""
-        out = np.zeros_like(a)
-        for i in range(self.t):
-            for k in _bits(spec.tlist[1 << i], self.t):
-                out[k] ^= a[i]
-        return out
-
-
-def _bits(v: int, t: int) -> list[int]:
-    return [k for k in range(t) if v >> k & 1]

@@ -12,8 +12,7 @@ gather through the FieldCtx array operations (mul_np, then sum_np over
 the shared axis), so it works at every q.  Elimination stays scalar, on
 lists of ints, except rank_batch, which ranks a stack by the same array
 operations and picks its pivots with np.where, and subset_ranks, which
-ranks sets of rows through it.  plane_matmul and plane_rank do the same
-on the p = 2 bit planes of gf.Planes.  Scalar elimination (_rref) is
+ranks sets of rows through it.  Scalar elimination (_rref) is
 deterministic: reduced row echelon form with the topmost row supplying
 each pivot, pivots normalized to 1, full reduction above and below.
 Everything downstream that promises byte-identical output relies on this.
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gf import AutSpec, FieldCtx, Planes
+from .gf import AutSpec, FieldCtx
 from .rng import SplitMix64
 
 _PREFIX_ROWS = 12   # rows per set in the first round of subset_ranks
@@ -212,45 +211,6 @@ def subset_ranks(ctx: FieldCtx, A, mask, target: int) -> np.ndarray:
         out[live] = np.minimum(rank_batch(ctx, stack), target)
         live = live[(out[live] < target) & (counts[live] > K)]
         K *= 2
-    return out
-
-
-def plane_matmul(pf: Planes, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stack product of plane matrices (t, r, k, W) x (t, k, c, W) -> (t, r, c, W).
-
-    The carry-less products are summed over the shared axis before the
-    one reduction mod the modulus, which is linear.
-    """
-    prod = pf.clmul(A[:, :, :, None], B[:, None])       # (2t-1, r, k, c, W)
-    return pf.reduce(np.bitwise_xor.reduce(prod, axis=2))
-
-
-def plane_rank(pf: Planes, A: np.ndarray) -> np.ndarray:
-    """Ranks of a plane stack (t, r, c, W) of matrices, 64 W of them (int8).
-
-    rank_batch's pivots on bit planes: the bottom-up cascade picks the
-    first row that is nonzero in the column as the pivot row P, through
-    the mux y ^ ((x ^ y) & s), which is (x & s) | (y & ~s).  The
-    elimination is fraction-free, so no inverse is taken: with pivot entry
-    pi, each row r becomes pi r + r_c P (-1 = 1), which clears the column
-    and zeroes P itself.  pi is read as 1 where the column has no pivot,
-    so the rows stay as they are.  Padding matrices are zero: rank 0.
-    """
-    A = A.copy()
-    t, nr, nc, W = A.shape
-    out = np.zeros(64 * W, dtype=np.int8)
-    if nr == 0:
-        return out
-    for c in range(nc):
-        piv = A[:, nr - 1, c:]
-        for i in range(nr - 2, -1, -1):
-            piv = piv ^ ((A[:, i, c:] ^ piv) & pf.nonzero(A[:, i, c]))
-        out += pf.unpack_bits(pf.nonzero(piv[:, 0]), 64 * W).view(np.int8)
-        if c + 1 < nc:
-            piv1 = piv[:, 0].copy()
-            piv1[0] |= ~pf.nonzero(piv1)
-            A[:, :, c + 1:] = (pf.mul(piv1[:, None, None], A[:, :, c + 1:])
-                               ^ pf.mul(A[:, :, c, None], piv[:, None, 1:]))
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import AutSpec, FieldCtx, Planes
+from .gf import AutSpec, FieldCtx
 from .linalg import _rref, dot, matmul
 
 POINT_CAP = 10 ** 7
@@ -87,48 +87,6 @@ def class_reps_range(q: int, k: int, start: int, stop: int,
     blocks = lead_blocks(q, k, start, stop)
     D = [np.arange(d, d + hi - lo, dtype=np.int64) for _, lo, hi, d in blocks]
     return digits(np.concatenate(D or [np.empty(0, np.int64)]), q, k, dtype)
-
-
-def class_planes_range(pf: Planes, k: int, start: int,
-                       stop: int) -> np.ndarray:
-    """Bit planes of class_reps_range(2^t, k, start, stop).T, (t, k, W) uint64.
-
-    At q = 2^t the row of a class is the binary expansion of its code D,
-    so plane i of column col is bit e = t (k - 1 - col) + i of D, and no
-    row is built.  Lane b of word w is the class start + 64 w + b; in one
-    lead block D = 64 (c + w) + o + b for one c and o < 64.  Bits 0..5 of
-    D are one pattern of o in every word, and bit e >= 6 fills the lanes
-    below 64 - o from bit e - 6 of c + w and the rest from bit e - 6 of
-    c + w + 1.  A lane mask per block clips at its seams.  Raises
-    ValueError where D would need more than 70 bits.
-    """
-    t = pf.t
-    blocks = lead_blocks(1 << t, k, start, stop)
-    u64 = np.uint64
-    out = np.zeros((t, k, -(-(stop - start) // 64)), dtype=u64)
-    ones = ~u64(0)
-    lanes = np.arange(64, dtype=u64)
-    for tail, lo, hi, D in blocks:
-        bits = t * (tail + 1)                       # D < 2 q^tail
-        if bits > 70:
-            raise ValueError(f"{bits}-bit class rows: planes take at most 70")
-        lo, hi = lo - start, hi - start             # the block's lanes
-        w0, w1 = lo // 64, -(-hi // 64)
-        c, o = divmod(D - lo % 64, 64)
-        low = np.arange(min(bits, 6), dtype=u64)[:, None]
-        low = np.bitwise_or.reduce((o + lanes >> low & 1) << lanes, axis=1)
-        counter = np.arange(w1 - w0 + 1, dtype=u64) + u64(c % (1 << 64))
-        high = np.arange(bits - len(low), dtype=u64)[:, None]
-        fill = u64(0) - (counter >> high & 1)       # all ones or zero
-        hi_lanes = ones << u64(64 - o) if o else u64(0)
-        words = np.concatenate([
-            np.broadcast_to(low[:, None], (len(low), w1 - w0)),
-            fill[:, :-1] & ~hi_lanes | fill[:, 1:] & hi_lanes])
-        words[:, 0] &= ones << u64(lo - 64 * w0)
-        words[:, -1] &= ones >> u64(64 * w1 - hi)
-        e = np.arange(bits)
-        out[e % t, k - 1 - e // t, w0:w1] |= words
-    return out
 
 
 def class_index(q: int, k: int, rep) -> int:

@@ -15,7 +15,7 @@ from twistcode.code import (_Sweep, is_minimal, m_bound, max_theta_by_rank,
                             min_weight_sweep, random_nonzero_matrix,
                             second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
-from twistcode.projgeom import class_planes_range, class_reps_range, num_classes
+from twistcode.projgeom import class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -71,18 +71,20 @@ def test_theta_descent_matches_theta_batch_exhaustively(cfg):
 
 @pytest.mark.parametrize("cfg", [(2, 3, 1, 2), (3, 2, 1, 2)])
 def test_theta_descent_matches_theta_batch_across_slices(cfg):
-    # three full slices and a partial one, from the middle of the order;
-    # p = 2 runs on bit planes, with slices of their own size
+    # three full slices and a partial one, from the middle of the order,
+    # and a batch of no rows
     ps = system(*cfg)
-    step = bulk._PLANE_SLICE if ps.ctx.p == 2 else bulk._SLICE
     start = num_classes(ps.ctx.q, ps.k) // 2
-    R = class_reps_range(ps.ctx.q, ps.k, start, start + 3 * step + 17,
+    R = class_reps_range(ps.ctx.q, ps.k, start, start + 3 * bulk._SLICE + 17,
                          dtype=ps.ctx.dtype)
     want, _ = bulk.theta_batch(bulk._bundle(ps.cfg), R)
     got, ranks = bulk.theta_descent(ps.ctx, ps.spec, R)
     assert np.array_equal(got, want)
     assert ranks.tolist() == [rank(ps.ctx, M) for M in R.reshape(-1, ps.m, ps.m)]
     assert {2, 3} <= set(ranks.tolist())
+    none, no_ranks = bulk.theta_descent(ps.ctx, ps.spec, R[:0])
+    assert none.shape == no_ranks.shape == (0,)
+    assert (none.dtype, no_ranks.dtype) == (got.dtype, ranks.dtype)
 
 
 @pytest.mark.parametrize("q,j,m,count,extra", [
@@ -118,33 +120,30 @@ def _order_slice(ctx, k, where, count):
     return class_reps_range(ctx.q, k, start, start + count, dtype=ctx.dtype)
 
 
-def _byte_kernel_on_planes(ctx, spec, P, mus):
-    """_descent_bytes on the matrices of the planes P, padding lanes too."""
-    M = ctx.planes.gather(P, np.arange(64 * P.shape[-1]), ctx.dtype)
-    return bulk._descent_bytes(ctx, spec, np.moveaxis(M, -1, 0), mus)
-
-
 @pytest.mark.parametrize("cfg", [(2, 1, 0, 1), (2, 2, 1, 2), (2, 2, 0, 2),
                                  (2, 3, 1, 2), (2, 4, 2, 1), (2, 4, 0, 1),
                                  (2, 2, 1, 3), (2, 6, 1, 1), (2, 11, 1, 1)])
 def test_plane_kernel_matches_the_byte_kernel(cfg, monkeypatch):
-    # the byte kernel, which serves odd p, is the oracle of the bit planes;
-    # lengths around one word and past one slice expose padding and seams
-    p, t, j, n = cfg
-    ctx = make_field(p, t)
-    spec = make_autspec(ctx, j)
-    k = (n + 1) ** 2
-    for count in (0, 1, 63, 64, 65, bulk._PLANE_SLICE + 17):
+    # the p = 2 descent, which ran on bit planes before the byte kernel
+    # served every p, against one unsliced byte-kernel call and, on every
+    # 16th row (theta_batch is slow at q = 2048), against theta_batch;
+    # lengths around one slice expose its seams
+    ps = system(*cfg)
+    ctx, spec = ps.ctx, ps.spec
+    b = bulk._bundle(ps.cfg)
+    for count in (0, 1, bulk._SLICE, bulk._SLICE + 17):
         for where in ("start", "middle", "end"):
-            R = _order_slice(ctx, k, where, count)
+            R = _order_slice(ctx, ps.k, where, count)
             got = bulk.theta_descent(ctx, spec, R)
             with monkeypatch.context() as mp:
-                mp.setattr(bulk, "_descent_planes", _byte_kernel_on_planes)
+                mp.setattr(bulk, "_SLICE", max(count, 1))
                 want = bulk.theta_descent(ctx, spec, R)
             for g, w in zip(got, want):
                 assert g.shape == w.shape == (count,)
                 assert g.dtype == w.dtype
                 assert np.array_equal(g, w), (count, where)
+            some, _ = bulk.theta_batch(b, R[::16])
+            assert np.array_equal(got[0][::16], some), (count, where)
 
 
 def _descent_keys(ps, R):
@@ -158,12 +157,12 @@ def _descent_keys(ps, R):
 
 
 @pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (2, 3, 1, 2), (2, 4, 2, 1)])
-def test_class_keys_match_the_byte_route(cfg, monkeypatch):
+def test_class_keys_match_the_byte_route(cfg):
     # the byte route ranks the rows of the class order on bytes (the
-    # descent's kernel for odd p) and adds the flag check of those rows;
-    # with the check bit cleared its keys are the theta kind's.  The
-    # chunks start off the q^m grid of the runs, and the first ones hold
-    # singular and quasi-singular rank-1 classes
+    # descent's kernel) and adds the flag check of those rows; with the
+    # check bit cleared its keys are the theta kind's.  The chunks start
+    # off the q^m grid of the runs, and the first ones hold singular and
+    # quasi-singular rank-1 classes
     ps = system(*cfg)
     q, k = ps.ctx.q, ps.k
     total = num_classes(q, k)
@@ -172,9 +171,7 @@ def test_class_keys_match_the_byte_route(cfg, monkeypatch):
     rank1 = set()
     for start, stop in ((0, 300), (101, 2101), (total - 777, total)):
         R = class_reps_range(q, k, start, stop, dtype=ps.ctx.dtype)
-        with monkeypatch.context() as mp:
-            mp.setattr(bulk, "_descent_planes", _byte_kernel_on_planes)
-            cells, _ = _descent_keys(ps, R)
+        cells, _ = _descent_keys(ps, R)
         theta = cells // (2 * (ps.m + 1))
         want = cells + bulk._check_bit(b, "flag", R, theta)
         for kind, keys in (("flag", want), ("theta", cells)):
@@ -253,12 +250,11 @@ def test_class_keys_work_in_one_run_beyond_the_range(monkeypatch):
 
 
 def test_theta_sweeps_reach_no_descent_kernel(monkeypatch):
-    # a sweep counts theta per run, so neither descent kernel runs; the
-    # seeded draws of sampled_theta still go through the descent
+    # a sweep counts theta per run, so the descent kernel never runs; the
+    # seeded draws of sampled_theta still go through it, at every p
     def kernel(*args):
         raise AssertionError("descent kernel reached")
 
-    monkeypatch.setattr(bulk, "_descent_planes", kernel)
     monkeypatch.setattr(bulk, "_descent_bytes", kernel)
     table = weight_spectrum(system(2, 2, 1, 2))
     assert table.counts == {int(w): c for w, c in
@@ -266,37 +262,6 @@ def test_theta_sweeps_reach_no_descent_kernel(monkeypatch):
     for cfg in [(2, 2, 1, 2), (3, 2, 1, 2)]:
         with pytest.raises(AssertionError, match="descent kernel reached"):
             bulk.sampled_theta(system(*cfg).cfg, 4, seed=1)
-
-
-@pytest.mark.parametrize("t,k,start,count", [(3, 9, 1000, 200), (2, 4, 3, 82),
-                                             (11, 4, 7, 70), (1, 16, 3, 64)])
-def test_plane_gather_reads_the_class_rows(t, k, start, count):
-    # lanes in full words and in a partial last word, in any order
-    ctx = make_field(2, t)
-    P = class_planes_range(ctx.planes, k, start, start + count)
-    lanes = np.array([count - 1, 0, 1, 63, 64, count - 2, 65, 63])
-    lanes = lanes[lanes < count]
-    want = class_reps_range(ctx.q, k, start, start + count, dtype=ctx.dtype)
-    got = ctx.planes.gather(P, lanes, ctx.dtype)
-    assert got.dtype == want.dtype and got.shape == (k, len(lanes))
-    assert np.array_equal(got.T, want[lanes])
-
-
-def test_theta_descent_dispatches_on_the_characteristic(monkeypatch):
-    def byte_kernel(*args):
-        raise AssertionError("byte kernel reached")
-
-    monkeypatch.setattr(bulk, "_descent_bytes", byte_kernel)
-    table = weight_spectrum(system(2, 2, 1, 2))
-    assert table.counts == {int(w): c for w, c in
-                            golden("spectrum_4_2_1")["counts"].items()}
-    ps = system(2, 11, 1, 1)        # q = 2048
-    got = bulk.sampled_theta(ps.cfg, 12, seed=5)
-    rng = SplitMix64(5)
-    for th in got.tolist():
-        assert theta(ps, random_nonzero_matrix(ps.ctx, ps.m, rng)).theta == th
-    with pytest.raises(AssertionError, match="byte kernel reached"):
-        bulk.sampled_theta(system(3, 2, 1, 2).cfg, 4, seed=1)
 
 
 def test_sampled_theta_beyond_the_table_fields():

@@ -432,3 +432,43 @@ def test_bad_field_is_a_usage_error():
     assert code == 2
     code, out = run("params", "--q", "4", "--n", "0")
     assert code == 2
+    # a field or a class count far beyond the caps fails fast: a fresh
+    # interpreter with a timeout, so that a hang fails this test
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    prime = "1000000000000000000000007"
+    for argv in (("--q", prime, "--n", "1"), ("--p", prime, "--n", "1"),
+                 ("--p", "2", "--t", "100000000", "--n", "1"),
+                 ("--p", "2", "--t", "100000000", "--sigma-exp", "5",
+                  "--n", "1"),
+                 ("--q", "4", "--j", "1", "--n", "3000"),
+                 ("--q", "4", "--j", "1", "--n", "100000")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistcode.cli", "params", *argv],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["error"]["type"] == "ValueError", argv
+
+
+_HUGE = st.integers(-10 ** 30, 10 ** 30)
+
+
+@given(st.sampled_from(["--q", "--p"]), st.sampled_from([2, 3, 4, 9]) | _HUGE,
+       st.none() | st.integers(1, 3) | _HUGE,
+       st.sampled_from([None, "--j", "--sigma-exp"]), st.integers(0, 3) | _HUGE,
+       st.integers(1, 3) | _HUGE)
+@settings(max_examples=100, deadline=10000)
+def test_params_argv_fuzz(field, size, t, twist, e, n):
+    # small values make real fields and profiles; any other may pass a cap
+    # by far
+    argv = [field, str(size), "--n", str(n)]
+    if field == "--p" and t is not None:
+        argv += ["--t", str(t)]
+    if twist is not None:
+        argv += [twist, str(e)]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run("params", *argv)
+    assert code in (0, 2), argv
+    assert isinstance(out, dict), argv
+    assert "Traceback" not in err.getvalue()

@@ -302,37 +302,3 @@ def test_only_gf_reads_the_field_tables():
                      if path.name != "gf.py"
                      and re.search(r"\b(mul|add|sub)_table\b", path.read_text()))
     assert readers == []
-
-
-def _from_planes(pf, P, count):
-    return sum(pf.unpack_bits(P[i], count).astype(np.int64) << i
-               for i in range(pf.t))
-
-
-@pytest.mark.parametrize("t", [1, 3, 8, 11, 16])
-def test_bit_planes_against_the_array_operations(t):
-    ctx = make_field(2, t)
-    pf = ctx.planes
-    rng = SplitMix64(t)
-    a, b = (np.array(rng.elements(ctx.q, 130), dtype=ctx.dtype) for _ in range(2))
-    a[:7] = b[3:9] = 0
-    A, B = pf.pack(a), pf.pack(b)
-    # plane i holds digit i, bit b of word w is element 64 w + b, and the
-    # batch is padded with zeros to 3 words
-    assert A.shape == (t, 3) and A.dtype == np.dtype("<u8")
-    for i in range(t):
-        assert pf.unpack_bits(A[i], 192).tolist() == \
-            [(v >> i) & 1 for v in a.tolist()] + [0] * 62
-    assert _from_planes(pf, A, 130).tolist() == a.tolist()
-    assert pf.unpack_bits(pf.nonzero(A), 130).tolist() == (a != 0).tolist()
-    assert _from_planes(pf, pf.mul(A, B), 130).tolist() == \
-        ctx.mul_np(a, b).tolist()
-    for j in range(t):
-        spec = make_autspec(ctx, j)
-        assert _from_planes(pf, pf.sigma(A, spec), 130).tolist() == \
-            spec.table[a].tolist()
-
-
-def test_bit_planes_need_characteristic_2():
-    with pytest.raises(ValueError):
-        make_field(3, 2).planes

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from twistcode import linalg, make_autspec, make_field
 from twistcode.linalg import (as_matrix, dot, invert, left_kernel, matmul,
-                              normalize_rep, plane_matmul, plane_rank, pure_tensor,
-                              rank, rank1_factor, rank_batch, row_echelon,
-                              sigma_entrywise, subset_ranks, trace_product,
-                              vecmat)
+                              normalize_rep, pure_tensor, rank, rank1_factor,
+                              rank_batch, row_echelon, sigma_entrywise,
+                              subset_ranks, trace_product, vecmat)
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -95,30 +94,6 @@ def test_rank_batch_on_non_square_and_empty_stacks():
         got = rank_batch(ctx, A)
         assert got.dtype == np.int8
         assert got.tolist() == [rank(ctx, M) for M in A]
-
-
-@pytest.mark.parametrize("q", [2, 4, 8, 2048])
-def test_plane_rank_and_matmul_match_the_byte_kernels(q):
-    ctx = make_field(*prime_power(q))
-    pf = ctx.planes
-    rng = SplitMix64(q + 1)
-    for r, c in [(2, 2), (3, 3), (4, 4), (1, 3), (3, 1), (2, 4), (4, 2)]:
-        A = np.array(rng.elements(ctx.q, 70 * r * c),
-                     dtype=ctx.dtype).reshape(70, r, c)
-        A[:5] = 0                               # zero matrices
-        A[5:20, -1] = A[5:20, 0]                # repeated row
-        A[20:35] = A[20:35] % 2                 # sparse 0/1 entries
-        P = pf.pack(np.moveaxis(A, 0, -1))      # 70 matrices in 2 words
-        got = plane_rank(pf, P)
-        assert got.dtype == np.int8 and len(got) == 128
-        assert got[:70].tolist() == rank_batch(ctx, A).tolist()
-        assert not got[70:].any()               # zero padding has rank 0
-        B = np.array(rng.elements(ctx.q, 70 * c * 3),
-                     dtype=ctx.dtype).reshape(70, c, 3)
-        prod = plane_matmul(pf, P, pf.pack(np.moveaxis(B, 0, -1)))
-        want = np.moveaxis(matmul(ctx, A, B), 0, -1)
-        for i in range(pf.t):
-            assert np.array_equal(pf.unpack_bits(prod[i], 70), (want >> i) & 1)
 
 
 def test_row_echelon_pivots_are_leading_ones():

@@ -9,9 +9,9 @@ import pytest
 import twistcode
 from twistcode import class_index, class_reps_range, enumerate_pg, \
     make_autspec, make_field, num_classes, sigma_fixed_points
-from twistcode.projgeom import (class_indices, class_planes_range, codes,
-                                digits, enumerate_lines, incident,
-                                line_through, normalize_tuple, span_classes)
+from twistcode.projgeom import (class_indices, codes, digits,
+                                enumerate_lines, incident, line_through,
+                                normalize_tuple, span_classes)
 
 import naive_ref
 from helpers import prime_power
@@ -25,38 +25,6 @@ def test_enumeration_matches_naive_order():
         got = [tuple(int(e) for e in r)
                for r in class_reps_range(q, k, 0, len(want))]
         assert got == want
-
-
-@pytest.mark.parametrize("k", [4, 9, 16])
-@pytest.mark.parametrize("t", [1, 2, 3, 4, 11])
-def test_class_planes_are_the_packed_class_rows(t, k):
-    # the planes straight from the class counter against the packed rows;
-    # ranges cross every lead-block seam that class_reps_range reaches
-    # (local indices below 2^63), mostly off the 64-lane grid
-    pf = make_field(2, t).planes
-    q = 1 << t
-    total = num_classes(q, k)
-    ranges = [(0, 0), (0, 1), (total, total)]
-    for tail in range(1, k):
-        if t * tail >= 63:
-            break
-        seam = num_classes(q, tail)
-        ranges += [(seam + d, seam + d + n) for d in (-130, -64, -1, 0, 63)
-                   for n in (1, 64, 200)]
-    if t * (k - 1) < 63:
-        ranges += [(total - 1, total), (total - 300, total)]
-    for start, stop in ranges:
-        start, stop = (min(max(a, 0), total) for a in (start, stop))
-        want = pf.pack(class_reps_range(q, k, start, stop).T)
-        got = class_planes_range(pf, k, start, stop)
-        assert got.shape == want.shape == (t, k, -(-(stop - start) // 64))
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), (start, stop)
-    with pytest.raises(ValueError, match="bad range"):
-        class_planes_range(pf, k, 5, 4)
-    if t * k > 70:          # the last classes' local index is too wide
-        with pytest.raises(ValueError, match="at most 70"):
-            class_planes_range(pf, k, total - 1, total)
 
 
 @pytest.mark.parametrize("q,k", [(8, 9), (4, 16), (16, 9), (16, 16)])
@@ -79,6 +47,9 @@ def test_class_codec_round_trips_at_every_seam(q, k):
         # a row is the digits of its code, written straight as any dtype
         assert np.array_equal(digits(codes(q, R), q, k), R)
         assert np.array_equal(class_reps_range(q, k, a, b, dtype=np.uint8), R)
+    for a, b in ((5, 4), (-1, 0), (total, total + 1)):
+        with pytest.raises(ValueError, match="bad range"):
+            class_reps_range(q, k, a, b)
     for w in (k - 1, k):
         top = min(q ** w, 1 << 63) - 1
         v = np.array([0, 1, q - 1, q, top // q, top // 2, top - 1, top])
