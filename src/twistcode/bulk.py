@@ -46,8 +46,11 @@ order, so every aggregate is byte-identical for any worker count, and
 reads a witness off the keys of the first chunk in which its cell turns
 up; the first run with a cell is the least of its orbit, so that chunk
 does not depend on the orbits.  With more than one worker, iter_sweep forks
-min(threads, chunks) processes that pull chunk numbers from one task
-pipe; the parent only waits on their result pipes and exits.
+W = min(threads, chunks) processes, and worker w runs chunks w, w + W,
+w + 2W, ... and sends each result on a pipe of its own.  The parent only
+waits on those pipes; an EOF means that a worker has exited.  The
+results it holds back for order are bounded by how far one worker runs
+ahead of the others, not by W, and each table is a few KB.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ from __future__ import annotations
 import functools
 import math
 import multiprocessing as mp
-import os
-import select
 import signal
 
 import numpy as np
@@ -565,12 +566,12 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
                chunk: int = DEFAULT_CHUNK):
     """Yield per-chunk result dicts over [0, total) in submission order.
 
-    With more than one worker, min(threads, chunks) forked processes pull
-    chunk numbers from one task pipe and send each result on a pipe of
-    their own; the parent only waits, and puts the results back in order.
-    An exception in a chunk reaches the caller with its type and message;
-    a worker that dies (a signal, os._exit) raises RuntimeError with its
-    exit code.  Closing the generator early terminates the workers.
+    With more than one worker, worker w of W = min(threads, chunks) forked
+    processes runs chunks w, w + W, w + 2W, ... and sends each result on a
+    pipe of its own; the parent only waits, and puts the results back in
+    order.  An exception in a chunk reaches the caller with its type and
+    message; a worker that dies (a signal, os._exit) raises RuntimeError
+    with its exit code.  Closing the generator early terminates the workers.
     """
     ranges = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
     workers = min(threads, len(ranges))
@@ -584,46 +585,36 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
 
     _bundle(cfg)            # built once here, inherited by every worker
     fork = mp.get_context("fork")
-    tasks = np.arange(len(ranges), dtype="<u4").tobytes()
-    task_r, task_w = os.pipe()
-    os.set_blocking(task_w, False)
-    fed, task_w = _feed(task_w, tasks, 0)
     procs, conns, done = [], [], False
     try:
-        for _ in range(workers):
+        for w in range(workers):
             recv, send = fork.Pipe(duplex=False)
             conns.append(recv)
             proc = fork.Process(target=_sweep_worker, daemon=True,
-                                args=(cfg, opts, ranges, task_r, task_w, send))
+                                args=(cfg, opts, ranges, w, workers, send))
             try:
                 proc.start()
             finally:
                 send.close()
             procs.append(proc)
-        live = {proc.sentinel: proc for proc in procs}
-        open_conns, results, nxt = set(conns), {}, 0
+        running, results, nxt = dict(zip(conns, procs)), {}, 0
         while nxt < len(ranges):
-            if not open_conns and not live:
+            if not running:
                 raise RuntimeError("sweep workers stopped with "
                                    f"{len(ranges) - nxt} chunks left")
-            for ready in wait([*open_conns, *live]):
-                if ready in live:
-                    proc = live.pop(ready)
+            for ready in wait(list(running)):
+                try:
+                    i, res = ready.recv()
+                except EOFError:        # the worker has finished
+                    proc = running.pop(ready)
                     proc.join()
                     if proc.exitcode:
                         raise RuntimeError(f"sweep worker {proc.pid} exited "
                                            f"with code {proc.exitcode}")
                     continue
-                try:
-                    i, res = ready.recv()
-                except EOFError:
-                    open_conns.discard(ready)
-                    continue
                 if isinstance(res, BaseException):
                     raise res
                 results[i] = res
-                if task_w is not None:
-                    fed, task_w = _feed(task_w, tasks, fed)
             while nxt in results:
                 yield results.pop(nxt)
                 nxt += 1
@@ -633,35 +624,15 @@ def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
             if not done:
                 proc.terminate()
             proc.join()
-        for fd in (task_r, task_w):
-            if fd is not None:
-                os.close(fd)
         for conn in conns:
             conn.close()
 
 
-def _feed(fd: int, tasks: bytes, fed: int) -> tuple[int, int | None]:
-    """Write tasks[fed:] to the non-blocking task pipe while it has room,
-    and close it once all are in; return the new fed and fd, None once
-    closed.  A piece of at most PIPE_BUF bytes goes in whole or not at
-    all, so a worker's 4-byte read never splits a number."""
-    while fed < len(tasks):
-        try:
-            fed += os.write(fd, tasks[fed:fed + select.PIPE_BUF])
-        except BlockingIOError:
-            return fed, fd
-    os.close(fd)
-    return fed, None
-
-
-def _sweep_worker(cfg, opts, ranges, task_r, task_w, send) -> None:
-    """Pull chunk numbers until the task pipe is closed and empty; send
-    (i, result), or (i, exception) and stop."""
+def _sweep_worker(cfg, opts, ranges, w, workers, send) -> None:
+    """Run chunks w, w + workers, ...; send (i, result) for each, or
+    (i, exception) and stop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops us
-    if task_w is not None:
-        os.close(task_w)
-    while raw := os.read(task_r, 4):
-        i = int.from_bytes(raw, "little")
+    for i in range(w, len(ranges), workers):
         try:
             res = sweep_chunk(cfg, opts, *ranges[i])
         except Exception as exc:        # raised again in the parent

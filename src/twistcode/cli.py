@@ -20,8 +20,9 @@ from . import code as code_ops
 from . import hyperplanes as hp
 from .embedding import build_system
 from .gamma import FAMILIES, base_cardinality, build_gamma, flag_count
-from .gf import Q_CAP, _field_size, make_autspec, make_field
-from .projgeom import POINT_CAP, num_classes
+from .gf import (Q_CAP, _field_size, _prime_factors, make_autspec,
+                 make_field)
+from .projgeom import POINT_CAP, capped_count, num_classes
 
 SCHEMA_VERSION = 1
 
@@ -35,19 +36,10 @@ def _as_prime_power(q: int) -> tuple[int, int]:
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     if q > Q_CAP:               # before trial division up to sqrt(q)
         raise ValueError(f"q = {q} exceeds the supported cap {Q_CAP}")
-    for p in range(2, q + 1):
-        if p * p > q and p != q:
-            break
-        if q % p == 0:
-            t = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                t += 1
-            if m != 1:
-                raise ValueError(f"q = {q} is not a prime power")
-            return p, t
-    return q, 1
+    primes = _prime_factors(q)
+    if len(primes) > 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    return primes[0], round(math.log(q, primes[0]))    # exact for q <= Q_CAP
 
 
 def _add_config_args(sub: argparse.ArgumentParser) -> None:
@@ -242,9 +234,8 @@ def _cmd_classify(args) -> dict:
 
 def _cmd_spectrum(args) -> dict | str:
     ps = _system(args) if args.sample is None else _profile(args)
-    F = num_classes(ps.ctx.q, ps.n + 1)     # a built system has F capped
-    if F > POINT_CAP:
-        raise ValueError(f"{F} functional classes exceed the cap {POINT_CAP}")
+    capped_count(lambda: num_classes(ps.ctx.q, ps.n + 1), ps.ctx.q, ps.n,
+                 POINT_CAP, "{} functional classes exceed the cap {}")
     check = {"auto": None, "on": True, "off": False}[args.flag_check]
     table = code_ops.weight_spectrum(ps, sample=args.sample, seed=args.seed,
                                      threads=args.threads, flag_check=check)

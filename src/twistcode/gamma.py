@@ -23,7 +23,8 @@ import numpy as np
 
 from .gf import FieldCtx
 from .linalg import matmul
-from .projgeom import POINT_CAP, ProjClass, enumerate_pg, line_array
+from .projgeom import (POINT_CAP, ProjClass, capped_count, enumerate_pg,
+                       line_array)
 
 FLAG_CAP = POINT_CAP
 _PAIR_BLOCK = 1 << 22     # entries per block of the incidence tests
@@ -62,9 +63,9 @@ class Gamma:
     def __init__(self, ctx: FieldCtx, n: int):
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-        expected = flag_count(ctx.q, n)
-        if expected > FLAG_CAP:
-            raise ValueError(f"{expected} flags exceed the {FLAG_CAP} cap")
+        # num_classes(q, n + 1) num_classes(q, n) flags: >= q^n q^(n-1)
+        expected = capped_count(lambda: flag_count(ctx.q, n), ctx.q, 2 * n - 1,
+                                FLAG_CAP, "{} flags exceed the {} cap")
         self.ctx = ctx
         self.n = n
         # functionals enumerate like points: one list and one array serve both

@@ -17,6 +17,7 @@ whose base-q digits are the row (lead_blocks, digits and codes).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .gf import AutSpec, FieldCtx
 from .linalg import _rref, dot, matmul
 
 POINT_CAP = 10 ** 7
+_SHOWN_DIGITS = 30      # capped_count prints a count if q^e < 10^30
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,23 @@ class ProjClass:
 def num_classes(q: int, k: int) -> int:
     """(q^k - 1) / (q - 1): number of projective classes of nonzero k-vectors."""
     return (q ** k - 1) // (q - 1)
+
+
+def capped_count(count, q: int, e: int, cap: int, message: str) -> int:
+    """count() when it is at most cap, else ValueError(message.format(c,
+    cap)) with c the count.
+
+    count() must be at least q^e.  Where q^e >= 10^_SHOWN_DIGITS, the
+    count is refused from e alone, before count() forms a power of q, and
+    c reads "at least q^e": a huge n costs nothing and the message stays
+    short.
+    """
+    if e >= _SHOWN_DIGITS / math.log10(q):      # q^e >= 10^30 > cap
+        raise ValueError(message.format(f"at least {q}^{e}", cap))
+    total = count()
+    if total > cap:
+        raise ValueError(message.format(total, cap))
+    return total
 
 
 def lead_blocks(q: int, k: int, start: int, stop: int) -> list[tuple]:
@@ -129,6 +148,11 @@ def normalize_tuple(ctx: FieldCtx, vec) -> tuple[int, ...]:
     return tuple(mul(f, v) if v else 0 for v in vals)
 
 
+def _capped_points(q: int, dim: int) -> int:
+    return capped_count(lambda: num_classes(q, dim), q, dim - 1, POINT_CAP,
+                        "PG enumeration of {} points exceeds cap {}")
+
+
 def enumerate_pg(ctx: FieldCtx, dim: int) -> list[ProjClass]:
     """All points of PG(dim-1, q) in the global class order.
 
@@ -137,9 +161,7 @@ def enumerate_pg(ctx: FieldCtx, dim: int) -> list[ProjClass]:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    total = num_classes(ctx.q, dim)
-    if total > POINT_CAP:
-        raise ValueError(f"PG enumeration of {total} points exceeds cap {POINT_CAP}")
+    total = _capped_points(ctx.q, dim)
     reps = class_reps_range(ctx.q, dim, 0, total)
     return [ProjClass(i, tuple(map(int, reps[i]))) for i in range(total)]
 
@@ -221,9 +243,7 @@ def line_array(ctx: FieldCtx, dim: int) -> np.ndarray:
     if dim < 2:
         raise ValueError("lines need dim >= 2")
     q = ctx.q
-    total = num_classes(q, dim)
-    if total > POINT_CAP:
-        raise ValueError(f"PG enumeration of {total} points exceeds cap {POINT_CAP}")
+    total = _capped_points(q, dim)
     lam = np.arange(q, dtype=ctx.dtype)[None, :, None]
     blocks = []
     for i in range(dim - 1):

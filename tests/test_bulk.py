@@ -439,8 +439,8 @@ def test_sweep_forks_no_more_workers_than_chunks():
 
 
 def test_sweep_tops_up_a_full_task_pipe(monkeypatch):
-    # 20000 chunk numbers take 80000 bytes, more than a 64 KiB pipe holds:
-    # the rest go in as results come back
+    # 10000 results per worker take more than a 64 KiB result pipe holds:
+    # each worker blocks until the parent reads, and order still holds
     monkeypatch.setattr(bulk, "sweep_chunk",
                         lambda cfg, opts, start, stop: {"start": start})
     with _deadline(10):
@@ -463,6 +463,50 @@ def test_sweep_raises_when_a_worker_dies(monkeypatch):
     with _deadline(10):
         with pytest.raises(RuntimeError, match="exited with code 1"):
             _sweep_all(ps, threads=2, chunk=1 << 12)
+    assert mp.active_children() == []
+
+
+def test_sweep_raises_when_every_worker_stops_early(monkeypatch):
+    # a worker that exits 0 without sending closes its pipe all the same
+    monkeypatch.setattr(bulk, "sweep_chunk",
+                        lambda cfg, opts, start, stop: os._exit(0))
+    with _deadline(10):
+        with pytest.raises(RuntimeError,
+                           match="^sweep workers stopped with 3 chunks left$"):
+            _sweep_all(system(2, 2, 1, 2), threads=2, chunk=1 << 15)
+    assert mp.active_children() == []
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_sweeps_leave_no_file_descriptors_open(monkeypatch):
+    ps = system(2, 2, 1, 2)
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = open_fds()
+    with _deadline(10):
+        _sweep_all(ps, threads=2, chunk=1 << 12)
+    assert open_fds() == before
+    with _deadline(10):
+        sweep = bulk.iter_sweep(ps.cfg, {"kind": "theta"},
+                                num_classes(4, 9), threads=2, chunk=1 << 10)
+        next(sweep)
+        sweep.close()
+    assert open_fds() == before
+    chunk_of = bulk.sweep_chunk
+
+    def dies_in_the_second(cfg, opts, start, stop):
+        if start == 1 << 12:
+            os._exit(1)
+        return chunk_of(cfg, opts, start, stop)
+
+    monkeypatch.setattr(bulk, "sweep_chunk", dies_in_the_second)
+    with _deadline(10):
+        with pytest.raises(RuntimeError, match="exited with code 1"):
+            _sweep_all(ps, threads=2, chunk=1 << 12)
+    assert open_fds() == before
     assert mp.active_children() == []
 
 

@@ -450,6 +450,29 @@ def test_bad_field_is_a_usage_error():
         assert json.loads(proc.stdout)["error"]["type"] == "ValueError", argv
 
 
+def test_huge_n_is_a_short_usage_error():
+    # every count capped by the flag or point cap is refused from n alone,
+    # in a fresh interpreter with a timeout, so that a hang fails this test
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for n in (str(10 ** 30), "4000"):
+        for cmd in (["system"], ["lines"], ["fpf"], ["theta", "--matrix", "1"],
+                    ["spectrum", "--sample", "3"]):
+            argv = [*cmd, "--q", "4", "--j", "1", "--n", n]
+            proc = subprocess.run(
+                [sys.executable, "-m", "twistcode.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=10)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            error = json.loads(proc.stdout)["error"]
+            assert error["type"] == "ValueError", argv
+            assert len(error["message"]) < 200, argv
+    # a count that prints keeps its message
+    code, out = run("system", "--q", "4", "--j", "1", "--n", "12")
+    assert code == 2
+    assert out["error"]["message"] == ("125099980328505 flags exceed the "
+                                       "10000000 cap")
+
+
 _HUGE = st.integers(-10 ** 30, 10 ** 30)
 
 

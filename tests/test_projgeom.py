@@ -9,7 +9,7 @@ import pytest
 import twistcode
 from twistcode import class_index, class_reps_range, enumerate_pg, \
     make_autspec, make_field, num_classes, sigma_fixed_points
-from twistcode.projgeom import (class_indices, codes, digits,
+from twistcode.projgeom import (capped_count, class_indices, codes, digits,
                                 enumerate_lines, incident, line_through,
                                 normalize_tuple, span_classes)
 
@@ -84,6 +84,26 @@ def test_only_projgeom_expands_base_q_digits():
                    and (helper.search(text := path.read_text())
                         or expand.search(text)))
     assert found == []
+
+
+def test_capped_count_refuses_a_huge_count_unformed():
+    msg = "{} points exceed cap {}"
+
+    def unformed():
+        raise AssertionError("the count was formed")
+
+    assert capped_count(lambda: 10, 2, 3, 10, msg) == 10
+    with pytest.raises(ValueError, match="^11 points exceed cap 10$"):
+        capped_count(lambda: 11, 2, 3, 10, msg)
+    # 2^99 < 10^30 <= 2^100
+    with pytest.raises(ValueError, match="^12 points"):
+        capped_count(lambda: 12, 2, 99, 10, msg)
+    with pytest.raises(ValueError, match=r"^at least 2\^100 points"):
+        capped_count(unformed, 2, 100, 10, msg)
+    with pytest.raises(ValueError, match=r"^at least 4\^10{30} points"):
+        capped_count(unformed, 4, 10 ** 30, 10, msg)
+    with pytest.raises(ValueError, match="^PG enumeration of at least 4"):
+        enumerate_pg(make_field(2, 2), 10 ** 30)
 
 
 def test_rep_at_agrees_with_full_enumeration():
