@@ -15,13 +15,17 @@ of the order.
 A run is read off the class codes, not rows, through the one codec of
 the class order in projgeom (lead_blocks, digits and codes).
 
-The Frobenius tau(x) = x^p commutes with sigma and fixes 0 and 1, so it
-acts digit by digit on the class codes and maps run u onto run tau(u)
-with the same cells: theta, the rank and a vanishing pairing are
-tau-invariant.  A "theta" sweep therefore counts only the least run of
-each tau-orbit, weighted by the orbit's size (_orbit_weights): at
-(8, 2, 1) 12,525 of the 37,449 runs.  The check kinds still count every
-class, since their check bit reads the class itself.
+The maps M -> g^-1 M sigma(g) act monomially on the code, and so does
+the Frobenius tau(x) = x^p, so theta, the rank and a vanishing pairing
+are the same on a class and its images.  Where g^-1 = [[A, 0], [b, c]],
+the map sends the run of R' onto the whole run of the normalized
+A R' sigma(g), since the last row goes to lambda (b R' + c r) sigma(g)
+for every r.  So the runs of one orbit of these maps hold the same
+cells, and a theta sweep (code._Sweep) counts the least run of each
+orbit, weighted by the orbit's size, in-process: at (8, 2, 1) 8 runs and
+the zero prefix, the classes 0 .. (q^m - 1)/(q - 1) - 1, which form an
+orbit of their own (_Bundle.run_orbits, orbit_runs).  The check kinds
+count every class, since their check bit reads the class itself.
 
 theta_descent, a closed form in the ranks of M and of N(M) - mu I
 (Galois descent), takes theta of seeded draws (sampled_theta and the
@@ -39,13 +43,11 @@ linalg.matmul and the FieldCtx array operations, so none of them needs
 the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
-classes per cell (theta, rank class, check bit) of class_keys, a theta
-chunk those of its least runs by orbit size, and the kind of sweep picks
-the check bit.  code adds the chunk tables as they come, in submission
-order, so every aggregate is byte-identical for any worker count, and
-reads a witness off the keys of the first chunk in which its cell turns
-up; the first run with a cell is the least of its orbit, so that chunk
-does not depend on the orbits.  With more than one worker, iter_sweep forks
+classes per cell (theta, rank class, check bit) of class_keys, and the
+kind of sweep picks the check bit.  code adds the chunk tables as they
+come, in submission order, so every aggregate is byte-identical for any
+worker count, and reads a witness off the keys of the first chunk in
+which its cell turns up.  With more than one worker, iter_sweep forks
 W = min(threads, chunks) processes, and worker w runs chunks w, w + W,
 w + 2W, ... and sends each result on a pipe of its own.  The parent only
 waits on those pipes; an EOF means that a worker has exited.  The
@@ -65,9 +67,9 @@ import numpy as np
 from .embedding import build_system
 from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
-from .linalg import matmul, rank_batch, subset_ranks
-from .projgeom import (class_reps_range, codes, digits, lead_blocks,
-                       line_array, num_classes)
+from .linalg import invert, matmul, rank_batch, subset_ranks
+from .projgeom import (class_indices, class_reps_range, codes, digits,
+                       lead_blocks, line_array, num_classes)
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -76,6 +78,7 @@ DEFAULT_CHUNK = 1 << 18
 _SLICE = 1 << 14        # rows per _descent_bytes step; bounds its N(M) products
 _PRODUCTS = 1 << 18  # field products per slice of the scan and zero counts
 _RUN_SLICE = 1 << 16  # coset codes per _block_keys step
+_ORBIT_BLOCK = 1 << 16  # prefixes per step of the run-orbit images
 
 
 class _Bundle:
@@ -108,8 +111,15 @@ class _Bundle:
 
     @functools.cached_property
     def frobenius(self) -> np.ndarray:
-        """x -> x^p as a table, for _orbit_weights; t >= 2 only."""
+        """x -> x^p as a table, for _run_maps; t >= 2 only."""
         return make_autspec(self.ctx, 1).table
+
+    @functools.cached_property
+    def run_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The least run of each run orbit, numbered as in orbit_runs, and
+        the orbit's size, int64 (_run_orbits); built on the first theta
+        sweep."""
+        return _run_orbits(self)
 
     @functools.cached_property
     def run_tables(self):
@@ -290,6 +300,151 @@ def pairing_batch(b: _Bundle, R: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# run orbits
+# ---------------------------------------------------------------------------
+
+def orbit_runs(cfg: tuple) -> list[tuple[int, int, int]]:
+    """(start, stop, orbit size) of the least run of each run orbit, in
+    class order; the sizes add up to the num_classes(q, m (m - 1)) + 1 runs.
+
+    The run of class i is (i - Z) // q^m + 1 with Z = (q^m - 1)/(q - 1):
+    run 0 is the Z classes with a zero prefix R', and run r >= 1 the q^m
+    classes whose prefix has class index r - 1 among the m (m - 1)-vectors.
+    """
+    b = _bundle(cfg)
+    qm, zero = b.q ** b.m, num_classes(b.q, b.m)
+    runs, sizes = b.run_orbits
+    return [(max(zero + (r - 1) * qm, 0), zero + r * qm, size)
+            for r, size in zip(runs.tolist(), sizes.tolist())]
+
+
+def _run_orbits(b: _Bundle) -> tuple[np.ndarray, np.ndarray]:
+    """The least run of each orbit of the run-preserving maps, and the
+    orbit's size: the zero prefix, run 0, has an orbit of its own.
+
+    The maps with g^-1 = [[I, 0], [b, 1]] add sigma(b) times the last
+    column R'_2 of R' to its first m - 1 columns.  They form a normal
+    subgroup, and its orbit of a prefix has one least member, the prefix
+    with row i0 of those columns cleared, i0 the first nonzero row of
+    R'_2 (_shear_least), and q^(m-1) members where R'_2 != 0, else one.
+    So the closure runs on those least members alone (_shear_minima):
+    every generator of _run_maps maps them, cleared again, onto least
+    members, and the least label of each connected set (_least_labels)
+    is the least run of its orbit.
+    """
+    rows, weight = _shear_minima(b)
+    index = _shear_least(b, rows)
+    order = np.argsort(index)
+    rows, weight, index = rows[order], weight[order], index[order]
+    A_maps, tau = _run_maps(b)
+    images = [np.empty(len(rows), dtype=np.int32)
+              for _ in range(len(A_maps) + (tau is not None))]
+    for a in range(0, len(rows), _ORBIT_BLOCK):
+        R = rows[a:a + _ORBIT_BLOCK]
+        moved = [matmul(b.ctx, matmul(b.ctx, A, R), C) for A, C in A_maps]
+        if tau is not None:
+            moved.append(tau.take(R))
+        for out, V in zip(images, moved):
+            image = _shear_least(b, V)
+            out[a:a + len(R)] = pos = np.searchsorted(index, image)
+            assert np.array_equal(index[pos], image), "a map left the minima"
+    least, member = np.unique(_least_labels(images, len(rows)),
+                              return_inverse=True)
+    sizes = np.zeros(len(least), dtype=np.int64)
+    np.add.at(sizes, member, weight)
+    return (np.concatenate([[0], index[least] + 1]),
+            np.concatenate([[1], sizes]))
+
+
+def _run_maps(b: _Bundle):
+    """Generators of the run-preserving maps modulo the shears, as pairs
+    (A, C) with R' -> A R' C, and tau as a table (None where t = 1).
+
+    g^-1 = diag(A, 1) for A = diag(omega, 1, ...), I + E_01 and the row
+    cycle, omega the generator of F_q*; C = sigma(g) = diag(sigma(A^-1), 1)
+    acts on the first m - 1 columns.  Any set of such maps is exact: a
+    smaller one only leaves more orbits, so more runs, to count.
+    """
+    ctx, w = b.ctx, b.m - 1
+    eye = np.eye(w, dtype=ctx.dtype)
+    gens = []
+    if ctx.q > 2:
+        gens.append(eye.copy())
+        gens[-1][0, 0] = ctx.gen
+    if w > 1:
+        gens += [eye.copy(), np.roll(eye, 1, axis=1)]
+        gens[-2][0, 1] = 1
+    maps = []
+    for A in gens:
+        g = np.eye(b.m, dtype=ctx.dtype)
+        g[:w, :w] = invert(ctx, A)
+        maps.append((A, b.spec.table.take(g)))
+    return maps, b.frobenius if ctx.t > 1 else None
+
+
+def _shear_minima(b: _Bundle) -> tuple[np.ndarray, np.ndarray]:
+    """The prefixes that _shear_least fixes, as (B, m - 1, m) rows, and
+    the size of each one's shear orbit.
+
+    Those with R'_2 = 0 are the nonzero R'_1; the others have their
+    first nonzero R'_2 entry, scaled to 1, in some row i0, zeros above
+    it, and row i0 of R'_1 cleared; every other entry runs free.
+    """
+    ctx, q, m = b.ctx, b.q, b.m
+    w = m - 1
+    R1 = class_reps_range(q, w * w, 0, num_classes(q, w * w), dtype=ctx.dtype)
+    blocks = [np.pad(R1.reshape(-1, w, w), ((0, 0), (0, 0), (0, 1)))]
+    weights = [np.ones(len(R1), dtype=np.int64)]
+    for i0 in range(w):
+        free = np.ones((w, m), dtype=bool)
+        free[i0, :] = False
+        free[:i0 + 1, w] = False
+        R = np.zeros((q ** int(free.sum()), w, m), dtype=ctx.dtype)
+        R[:, i0, w] = 1
+        R[:, free] = digits(np.arange(len(R)), q, int(free.sum()), ctx.dtype)
+        blocks.append(R)
+        weights.append(np.full(len(R), q ** w, dtype=np.int64))
+    return np.concatenate(blocks), np.concatenate(weights)
+
+
+def _shear_least(b: _Bundle, V: np.ndarray) -> np.ndarray:
+    """The prefix class index of the least member of the shear orbit of
+    each (B, m - 1, m) row V != 0 (_run_orbits): row i0 of the first
+    m - 1 columns cleared by adding -V[i0] / V[i0, m - 1] times the last
+    column, then the row normalized."""
+    ctx, w = b.ctx, b.m - 1
+    each = np.arange(len(V))
+    last = V[:, :, w]
+    i0 = (last != 0).argmax(axis=1)
+    s = ctx.mul_np(ctx.neg_inv_table.take(last[each, i0])[:, None],
+                   V[each, i0, :w])                    # zero where last = 0
+    V = V.copy()
+    V[:, :, :w] = ctx.add_np(V[:, :, :w], ctx.mul_np(last[:, :, None],
+                                                      s[:, None, :]))
+    V = V.reshape(len(V), -1)
+    lead = V[each, (V != 0).argmax(axis=1)]
+    return class_indices(b.q, ctx.mul_np(ctx.inv_table.take(lead)[:, None], V))
+
+
+def _least_labels(images: list[np.ndarray], n: int) -> np.ndarray:
+    """The least member of the orbit of each of 0 .. n - 1 under the
+    permutations images: each edge x -> image[x] hooks the larger label
+    onto the smaller, pointers jump to their roots, and that repeats
+    until every edge joins equal labels."""
+    label = np.arange(n)
+    while True:
+        for image in images:
+            a, c = label, label[image]
+            apart = a != c
+            hi = np.maximum(a[apart], c[apart])
+            label[hi] = np.minimum(label[hi], np.minimum(a[apart], c[apart]))
+        while not np.array_equal(root := label[label], label):
+            label = root
+        if all(np.array_equal(label[image], label) for image in images):
+            return label
+
+
+# ---------------------------------------------------------------------------
 # chunk evaluation and the parallel driver
 # ---------------------------------------------------------------------------
 
@@ -298,10 +453,8 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
 
     A cell is (theta, rank class, check bit), flattened to
     (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank class
-    come from _block_keys with every run counted once, so there is one
-    key per class, for every kind: the witness re-reads and the check
-    kinds need the class itself.  kind picks the check bit: "theta" sets
-    none, "flag" marks a violated intersection identity
+    come from _block_keys, one key per class.  kind picks the check bit:
+    "theta" sets none, "flag" marks a violated intersection identity
     (zero_counts_batch), "cond" the solutions on no line of the dual
     space (theta_batch's masks; its theta is asserted to equal the block
     count's) and "minimality" a zero set of rank < k - 1 (subset_ranks).
@@ -315,9 +468,9 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
     return keys
 
 
-def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
+def _block_keys(b: _Bundle, start: int, stop: int) -> np.ndarray:
     """The cells (theta, rank class, 0) of the classes in [start, stop),
-    counted per run.
+    one per class in class order, counted per run.
 
     The row of a class is the base-q expansion of its code D = local
     index + q^tail in its lead block (projgeom.lead_blocks and digits),
@@ -332,39 +485,19 @@ def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
     the row space of R', which gives rank M = rank R' + [r off that space].
     The rank-1 classes lie in the runs with rank R' <= 1; their rows come
     from their digits, and a vanishing pairing_batch (singular) moves
-    them to rank class 0.
-
-    Without orbits every run counts: the keys are one per class, in
-    class order.  With orbits only the least run of each Frobenius orbit
-    counts (_orbit_weights), and the keys of its classes in the range
-    come packed at the front of one range-sized buffer; a class of a run
-    of orbit size w has its cell plus (t - w) times the number of cells,
-    so that one bincount of the keys counts the cells per orbit size.
-    tau(x) = x^p commutes with sigma and fixes 0 and 1, so it maps run u
-    to run tau(u), digit by digit, and r to tau(r); xi M = lambda sigma(xi)
-    holds exactly when tau(xi) tau(M) = tau(lambda) sigma(tau(xi)), so
-    theta, the rank and a vanishing pairing are tau-invariant and the
-    runs of one orbit hold the same cells.  A run that the range cuts
-    counts its part in the range, so the chunks of a sweep add up to the
-    whole orbits.  The first run that holds a cell is the least of its
-    orbit, so the first chunk with a class in a cell still counts it.
+    them to rank class 0.  A run that the range cuts counts its part in
+    the range.
     """
     q, m, k = b.q, b.m, b.k
     qm = q ** m
     blocks = lead_blocks(q, k, start, stop)
     keys = np.empty(stop - start, dtype=np.intp)
-    cells = 2 * (b.F + 1) * (m + 1)
     pos, rank1 = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     S = max(1, _RUN_SLICE // qm)                           # runs per slice
     at = 0                                      # keys written so far
     for _, lo, hi, D0 in blocks:
         D1 = D0 + hi - lo
         u = np.arange(D0 // qm, -(-D1 // qm), dtype=np.int64)
-        if orbits:
-            w = _orbit_weights(b, u)
-            u, lift = u[w > 0], (b.ctx.t - w[w > 0]) * cells
-            if not len(u):
-                continue
         # the codes of each run in the range: only the first and the last
         # run can be cut, and a cut run is a slice of its own
         head = np.maximum(D0 - u * qm, 0)
@@ -377,35 +510,14 @@ def _block_keys(b: _Bundle, start: int, stop: int, orbits: bool = False):
             off = int(head[i])
             out = keys[at:at + (j - i - 1) * qm + int(end[j - 1]) - off]
             p1 = _count_slice(b, [v[i:j] for v in runs], off, out)
-            if orbits and lift[i:j].any():
-                out.reshape(j - i, -1)[:] += lift[i:j, None]
             s, r = np.divmod(p1 + off, qm)
             pos.append(p1 + at)
             rank1.append(u[i + s] * qm + r)
             at += len(out)
             i = j
-    keys = keys[:at]
     rows = digits(np.concatenate(rank1), q, k, b.ctx.dtype)
     keys[np.concatenate(pos)] -= (pairing_batch(b, rows) == 0) * 2  # singular
     return keys
-
-
-def _orbit_weights(b: _Bundle, u: np.ndarray) -> np.ndarray:
-    """The orbit size of each run number u under the Frobenius x -> x^p,
-    applied to its m (m - 1) digits, where u is the least of its orbit,
-    else 0.  The size is the least i >= 1 with tau^i(u) = u, t if none."""
-    t = b.ctx.t
-    if t == 1:                                          # prime q: tau = 1
-        return np.ones(len(u), dtype=np.int64)
-    d = digits(u, b.q, b.m * (b.m - 1), b.ctx.dtype)
-    size = np.full(len(u), t, dtype=np.int64)
-    least = np.ones(len(u), dtype=bool)
-    for i in range(1, t):
-        d = b.frobenius.take(d)
-        image = codes(b.q, d)
-        least &= u <= image
-        size[(image == u) & (size == t)] = i
-    return size * least
 
 
 def _run_arrays(b: _Bundle, u: np.ndarray):
@@ -541,25 +653,18 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     """Count the classes in [start, stop) per cell.
 
     Only opts["kind"] is read.  Returns start, stop, classes (always
-    stop - start) and table, the (F + 1, m + 1, 2) counts over (theta,
-    rank class, check bit); chunks fold by adding their tables.  The
-    check kinds count the keys of class_keys, every class checked; the
-    "theta" kind counts only the least run of each Frobenius orbit,
-    weighted by the orbit's size (_block_keys), so a chunk's table can
-    differ from that of its own classes, but the tables of the chunks of
-    [0, total) add up to the same counts, and a cell's first chunk is
-    the same.
+    stop - start) and table, the (F + 1, m + 1, 2) counts of the keys of
+    class_keys over (theta, rank class, check bit), one per class; chunks
+    fold by adding their tables.  Exhaustive theta sweeps count the least
+    runs of the run orbits instead (code._Sweep), so only the check kinds
+    reach this from code.
     """
     b = _bundle(cfg)
     shape = (b.F + 1, b.m + 1, 2)
-    if opts["kind"] == "theta":     # key band t - w: orbits of size w
-        keys, bands = _block_keys(b, start, stop, orbits=True), b.ctx.t
-    else:
-        keys, bands = class_keys(cfg, opts["kind"], start, stop), 1
-    counts = np.bincount(keys, minlength=bands * math.prod(shape))
-    table = np.arange(bands, 0, -1) @ counts.reshape(bands, -1)
+    keys = class_keys(cfg, opts["kind"], start, stop)
     return {"start": start, "stop": stop, "classes": stop - start,
-            "table": table.reshape(shape)}
+            "table": np.bincount(keys, minlength=math.prod(shape)
+                                 ).reshape(shape)}
 
 
 def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,

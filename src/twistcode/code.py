@@ -202,14 +202,21 @@ def min_distance(sys: ProjectiveSystem, exhaustive: bool = False,
 # ---------------------------------------------------------------------------
 
 class _Sweep:
-    """One exhaustive sweep of one kind, folded from its chunks.
+    """One exhaustive sweep of one kind, folded from its parts.
 
     table holds the class counts per cell (theta, rank class, check bit)
-    of bulk.class_keys, and first, per cell, the start of the first chunk
-    with a class in it (read only where the count is nonzero).  theta,
-    rclass and bit are the cell coordinates, shaped to broadcast against
-    table; rank class 0 is rank 1 singular, 1 rank 1 quasi-singular and
-    r >= 2 rank r.
+    of bulk.class_keys, and first, per cell, the start of the chunk of
+    DEFAULT_CHUNK classes that holds its first class (read only where the
+    count is nonzero).  theta, rclass and bit are the cell coordinates,
+    shaped to broadcast against table; rank class 0 is rank 1 singular,
+    1 rank 1 quasi-singular and r >= 2 rank r.
+
+    A "theta" sweep counts, in-process, the least run of each run orbit
+    (bulk.orbit_runs), whose runs hold the same cells, times the orbit's
+    size; the first run that holds a cell is the least of its orbit, so
+    first is that of every class.  The check kinds read their bit off
+    each class, so they count every chunk of bulk.iter_sweep, in
+    submission order, in up to threads forked workers.
     """
 
     def __init__(self, sys: ProjectiveSystem, kind: str, threads: int):
@@ -223,18 +230,38 @@ class _Sweep:
                     f"{size} {unit} exceed the exhaustive cap {cap}")
         self.sys, self.kind, self.total = sys, kind, total
         self.chunk = bulk.DEFAULT_CHUNK
-        chunks = bulk.iter_sweep(sys.cfg, {"kind": kind}, total,
-                                 threads=threads, chunk=self.chunk)
-        # a running sum, and per cell the start of the first chunk (in
-        # submission order) that has a class in it; 0 where none has
+        if kind == "theta":
+            parts = self._orbit_parts()
+        else:
+            parts = ((res["table"], res["start"]) for res in bulk.iter_sweep(
+                sys.cfg, {"kind": kind}, total, threads=threads,
+                chunk=self.chunk))
+        # a running sum, and per cell the chunk start of its first class,
+        # from the first part (in class order) that has one; 0 where none
         self.table = self.first = 0
-        for res in chunks:
-            new = (res["table"] > 0) & (self.table == 0)
-            self.table = self.table + res["table"]
-            self.first = np.where(new, res["start"], self.first)
+        for table, first in parts:
+            new = (table > 0) & (self.table == 0)
+            self.table = self.table + table
+            self.first = np.where(new, first, self.first)
         assert self.table.sum() == total
         self.theta, self.rclass, self.bit = np.ix_(
             *(np.arange(d) for d in self.table.shape))
+
+    def _orbit_parts(self):
+        """Per least run, in class order and in pieces of at most a chunk:
+        its cell counts times its orbit size, and per cell the chunk
+        start of its first class in the piece."""
+        cfg = self.sys.cfg
+        shape = (len(self.sys.gamma.functionals) + 1, self.sys.m + 1, 2)
+        for start, stop, size in bulk.orbit_runs(cfg):
+            for a in range(start, stop, self.chunk):
+                keys = bulk.class_keys(cfg, "theta", a,
+                                       min(a + self.chunk, stop))
+                counts = np.bincount(keys, minlength=np.prod(shape))
+                first = np.zeros(len(counts), dtype=np.int64)
+                cells, at = np.unique(keys, return_index=True)
+                first[cells] = (a + at) // self.chunk * self.chunk
+                yield (size * counts).reshape(shape), first.reshape(shape)
 
     def count(self, cells) -> int:
         """Classes in the cells where the broadcast bool array cells is set."""

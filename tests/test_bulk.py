@@ -15,7 +15,7 @@ from twistcode.code import (_Sweep, is_minimal, m_bound, max_theta_by_rank,
                             min_weight_sweep, random_nonzero_matrix,
                             second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
-from twistcode.projgeom import class_reps_range, num_classes
+from twistcode.projgeom import class_indices, class_reps_range, num_classes
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -593,44 +593,146 @@ def test_orbit_folded_theta_sweep_matches_the_class_route(cfg, runs,
             (chunk, threads)
 
 
-def test_unweighted_orbits_miss_classes(monkeypatch):
-    # with every counted run at weight 1 the sweep loses the other runs
-    # of each orbit, and _Sweep's class count catches it
-    weights = bulk._orbit_weights
-    monkeypatch.setattr(bulk, "_orbit_weights",
-                        lambda b, u: (weights(b, u) > 0).astype(np.int64))
+_ORBIT_CFGS = [(2, 2, 1, 2), (2, 3, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2),
+               (2, 2, 1, 1), (2, 3, 1, 1), (3, 2, 1, 1), (2, 4, 1, 1),
+               (2, 4, 2, 1), (5, 2, 1, 1), (3, 3, 1, 1), (11, 1, 0, 1)]
+_ORBIT_IDS = ["q4n2", "q8n2", "q8n2j2", "q9n2", "q4n1", "q8n1", "q9n1",
+              "q16n1", "q16n1j2", "q25n1", "q27n1", "q11n1j0"]
+
+
+def _prefix_orbits(ps):
+    """Per prefix, the least member of its orbit, by closure over all
+    num_classes(q, m (m - 1)) prefixes: R' -> A R' sigma(g) with g^-1 =
+    [[A, 0], [b, 1]] for A = diag(omega, 1, ...), I + E_01 and the row
+    cycle (b = 0), for A = I and b = e_0, and tau; labels spread along
+    each map and its inverse until none moves."""
+    ctx, q, m = ps.ctx, ps.ctx.q, ps.m
+    w = m - 1
+    P = num_classes(q, w * m)
+    R = class_reps_range(q, w * m, 0, P, dtype=ctx.dtype).reshape(P, w, m)
+    eye = np.eye(m, dtype=ctx.dtype)
+    gis = [eye.copy(), eye.copy()]
+    gis[0][0, 0] = ctx.gen                          # A = diag(omega, 1, ...)
+    gis[1][w, 0] = 1                                # b = e_0
+    if w > 1:
+        gis.append(eye.copy())
+        gis[-1][0, 1] = 1                           # A = I + E_01
+        gis.append(eye[list(range(1, w)) + [0, w]])  # A = the row cycle
+    images = []
+    for gi in gis:
+        g = np.asarray(linalg.invert(ctx, gi), dtype=ctx.dtype)
+        sg = ps.spec.table.take(g)
+        V = linalg.matmul(ctx, linalg.matmul(ctx, gi[:w, :w], R), sg)
+        images.append(V.reshape(P, -1))
+    if ctx.t > 1:
+        images.append(make_autspec(ctx, 1).table.take(R).reshape(P, -1))
+    perms = []
+    for V in images:
+        lead = V[np.arange(P), (V != 0).argmax(axis=1)]
+        scaled = ctx.mul_np(ctx.inv_table[lead][:, None], V)
+        perms.append(class_indices(q, scaled))
+    label = np.arange(P)
+    while True:
+        old = label.copy()
+        for f in perms:
+            label = np.minimum(label, label[f])
+            label[f] = np.minimum(label[f], label)
+        label = label[label]
+        if np.array_equal(label, old):
+            return label
+
+
+@pytest.mark.parametrize("cfg", _ORBIT_CFGS, ids=_ORBIT_IDS)
+def test_run_orbits_are_the_least_runs_of_their_orbits(cfg):
+    # the table runs its closure on the least members of the shear orbits
+    # only; a closure over every prefix, with the shear b = e_0 among the
+    # maps, gives the same least runs and orbit sizes
+    ps = system(*cfg)
+    runs, sizes = bulk._bundle(ps.cfg).run_orbits
+    assert runs.dtype == sizes.dtype == np.int64
+    assert sizes.sum() == num_classes(ps.ctx.q, ps.m * (ps.m - 1)) + 1
+    least, size = np.unique(_prefix_orbits(ps), return_counts=True)
+    assert runs.tolist() == [0] + (least + 1).tolist()
+    assert sizes.tolist() == [1] + size.tolist()
+
+
+@pytest.mark.parametrize("cfg", _ORBIT_CFGS, ids=_ORBIT_IDS)
+def test_run_maps_keep_the_cells_of_a_run(cfg):
+    # each generator, and the shear that clears a row, maps a run onto a
+    # run with the same cell counts, on a seeded sample of runs: the
+    # cells are invariant whatever the labeling makes of them
+    ps = system(*cfg)
+    b = bulk._bundle(ps.cfg)
+    q, m = b.q, b.m
+    w, qm, zero = m - 1, q ** m, num_classes(q, m)
+    P = num_classes(q, w * m)
+    rng = np.random.default_rng(sum(cfg))
+    prefixes = rng.choice(P, size=min(P, 24), replace=False)
+    R = np.concatenate([class_reps_range(q, w * m, i, i + 1, dtype=b.ctx.dtype)
+                        for i in prefixes]).reshape(-1, w, m)
+    maps, tau = bulk._run_maps(b)
+    moved = [linalg.matmul(b.ctx, linalg.matmul(b.ctx, A, R), C)
+             for A, C in maps] + [R]
+    if tau is not None:
+        moved.append(tau.take(R))
+    assert len(maps) == (q > 2) + 2 * (w > 1)
+
+    def cells(i):
+        start = zero + i * qm
+        keys = bulk.class_keys(ps.cfg, "theta", start, start + qm)
+        return np.bincount(keys, minlength=2 * (b.F + 1) * (m + 1))
+
+    for V in moved:
+        image = bulk._shear_least(b, V)
+        for i, j in zip(prefixes.tolist(), image.tolist()):
+            assert np.array_equal(cells(j), cells(i)), (i, j)
+
+
+def test_unweighted_least_runs_miss_classes(monkeypatch):
+    # with every least run at weight 1 the sweep loses the other runs of
+    # each orbit, and _Sweep's class count catches it
+    ps = system(2, 2, 1, 2)
+    runs, sizes = bulk._bundle(ps.cfg).run_orbits
+    assert (sizes > 1).any()
+    monkeypatch.setattr(bulk._Bundle, "run_orbits",
+                        property(lambda b: (runs, np.ones_like(sizes))))
     with pytest.raises(AssertionError):
-        _Sweep(system(2, 2, 1, 2), "theta", 1)
+        _Sweep(ps, "theta", 1)
 
 
-def test_orbit_weights_cover_each_lead_block():
-    # tau = x^2 has order 4 at q = 16: the counted runs have orbit sizes
-    # 1, 2 and 4, and tau keeps each lead block, so in each block the
-    # sizes of the counted runs add up to the block's run count
+def test_run_orbit_table_stays_small_at_q16():
+    # (16, 2, 1) has 1,118,481 prefixes, but the closure runs on the 8,721
+    # least members of their shear orbits: a cold table peaked at 1.53 MB
+    # under tracemalloc, and the bound leaves 2.6x room
     ps = system(2, 4, 1, 2)
-    b = bulk._bundle(ps.cfg)
-    q, qm = b.q, b.q ** b.m
-    seen = set()
-    for tail in range(ps.k):
-        u = np.arange(q ** tail // qm, -(-2 * q ** tail // qm))
-        w = bulk._orbit_weights(b, u)
-        assert w.sum() == len(u), tail
-        seen |= set(w[w > 0].tolist())
-    assert seen == {1, 2, 4}
+    b = bulk._Bundle(ps.cfg)
+    tracemalloc.start()
+    runs, sizes = b.run_orbits
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(runs) == 9 and sizes.sum() == num_classes(16, 6) + 1
+    assert peak < 4 << 20, peak
 
 
-def test_theta_chunks_report_every_class():
-    # perfbench's tracer counts bulk.classes from sweep_chunk's classes,
-    # which stays the range's size when the chunk counts fewer runs
-    ps = system(2, 3, 1, 2)
-    b = bulk._bundle(ps.cfg)
-    counted = set()
-    for i in (0, 14, 20):       # some, none and all of the runs
-        start, stop = i << 18, (i + 1) << 18
-        res = bulk.sweep_chunk(ps.cfg, {"kind": "theta"}, start, stop)
-        assert res["classes"] == stop - start
-        counted.add(len(bulk._block_keys(b, start, stop, orbits=True)))
-    assert min(counted) == 0 and max(counted) == 1 << 18 and len(counted) == 3
+def _forks_during(call) -> int:
+    forks = []
+    os.register_at_fork(after_in_parent=lambda: forks.append(1))
+    call()
+    return len(forks)
+
+
+def test_theta_sweeps_fork_nothing(monkeypatch):
+    # a theta sweep counts its least runs in-process for any threads; the
+    # check kinds still fork their workers, here over 6 chunks of (4, 2)
+    monkeypatch.setattr(bulk, "DEFAULT_CHUNK", 1 << 14)
+    q4, q8 = system(2, 2, 1, 2), system(2, 3, 1, 2)
+    with _deadline(30):
+        assert _forks_during(lambda: second_weight_check(q8, threads=2)) == 0
+        assert _forks_during(lambda: weight_spectrum(
+            q4, flag_check=False, threads=8)) == 0
+        assert _forks_during(lambda: weight_spectrum(
+            q4, flag_check=True, threads=2)) == 2
+    assert mp.active_children() == []
 
 
 SPECTRUM_9_2_1 = {0: 1, 702: 60480, 720: 58968, 729: 7280, 774: 8845200,
@@ -647,6 +749,32 @@ def test_exhaustive_spectrum_at_q9(monkeypatch):
     assert table.mode == "exhaustive"
     assert table.classes == 48_427_561
     assert table.counts == SPECTRUM_9_2_1
+
+
+SPECTRUM_16_2_1 = {0: 1, 4080: 1048320, 4096: 69615, 4256: 381888000,
+                   4304: 712857600, 4320: 8019648000, 4336: 2405894400,
+                   4352: 38867446800, 4368: 18330624000}
+SPECTRUM_16_2_2 = {0: 1, 4032: 1060800, 4080: 1048320, 4096: 69615,
+                   4272: 784143360, 4288: 334152000, 4320: 3801907200,
+                   4336: 12029472000, 4352: 31400263440, 4368: 20367360000}
+SPECTRUM_4_3_1 = {0: 1, 1008: 16320, 1024: 5355, 1120: 146880,
+                  1232: 8616960, 1248: 15422400, 1264: 13366080,
+                  1280: 6832980, 1296: 164505600, 1312: 380419200,
+                  1328: 760838400, 1344: 2089368000, 1360: 855429120}
+
+
+@pytest.mark.parametrize("cfg, counts", [
+    ((2, 4, 1, 2), SPECTRUM_16_2_1), ((2, 4, 2, 2), SPECTRUM_16_2_2),
+    ((2, 2, 1, 3), SPECTRUM_4_3_1)], ids=["q16n2", "q16n2j2", "q4n3"])
+def test_exhaustive_spectra_beyond_the_cap(cfg, counts, monkeypatch):
+    # spectra recorded by every-run sweeps on 2 workers (40 s each at
+    # q = 16, 26 s at (4, 3)), an oracle independent of the run orbits;
+    # the orbit route counts 9, 10 and 23 least runs in 0.02-0.3 s
+    ps = system(*cfg)
+    monkeypatch.setattr(bulk, "EXHAUSTIVE_CAP", num_classes(ps.ctx.q, ps.k))
+    table = weight_spectrum(ps, flag_check=False)
+    assert table.mode == "exhaustive"
+    assert table.counts == counts
 
 
 def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch):
