@@ -6,11 +6,11 @@ take every last row r.  For a functional class (xi', 1), xi M lies in
 F_q sigma(xi) exactly for r on the coset -xi' R' + F_q sigma(xi', 1), so
 one bincount of the q^m coset codes of a run counts theta for all its
 classes, one increment per class; the codes at c = 0 run over the row
-space of R', which gives rank M.  At p = 2 a coset code is one XOR of codes,
-and odd p adds digitwise through add_np.  Over 2^18 classes (2 vCPU) a
-theta chunk takes 11-15 ns per class at (8, 2, 1) and 23-32 at (9, 2, 1);
-theta_descent takes 270-360 and 400-530 on 2^18 classes from the middle
-of the order.
+space of R', which gives rank M.  Every p adds the coset digitwise
+through add_np, which is XOR at p = 2.  On 2^18 classes from the middle
+of the order (2 vCPU) a theta chunk takes 13-18 ns per class at
+(8, 2, 1) and 19-23 at (9, 2, 1); theta_descent takes 310-320 and
+390-400.
 
 A run is read off the class codes, not rows, through the one codec of
 the class order in projgeom (lead_blocks, digits and codes).
@@ -108,11 +108,6 @@ class _Bundle:
         self.lead = [next(i for i, e in enumerate(f.rep) if e)
                      for f in g.functionals]
         self.N = sys_.N
-
-    @functools.cached_property
-    def frobenius(self) -> np.ndarray:
-        """x -> x^p as a table, for _run_maps; t >= 2 only."""
-        return make_autspec(self.ctx, 1).table
 
     @functools.cached_property
     def run_orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +374,7 @@ def _run_maps(b: _Bundle):
         g = np.eye(b.m, dtype=ctx.dtype)
         g[:w, :w] = invert(ctx, A)
         maps.append((A, b.spec.table.take(g)))
-    return maps, b.frobenius if ctx.t > 1 else None
+    return maps, make_autspec(ctx, 1).table if ctx.t > 1 else None
 
 
 def _shear_minima(b: _Bundle) -> tuple[np.ndarray, np.ndarray]:
@@ -522,8 +517,8 @@ def _block_keys(b: _Bundle, start: int, stop: int) -> np.ndarray:
 
 def _run_arrays(b: _Bundle, u: np.ndarray):
     """The base count, rank R' and offsets -o of the runs numbered u:
-    -o = -xi' R' for every xi', as (U, q^(m-1)) codes for p = 2, else as
-    (U, m, q^(m-1)) digits."""
+    -o = -xi' R' for every xi', as (U, m, q^(m-1)) digits (at p = 2
+    neg_table is the identity)."""
     ctx, q, m = b.ctx, b.q, b.m
     Rp = digits(u, q, m * (m - 1), ctx.dtype).reshape(-1, m - 1, m)
     xis, normal, lead, lines0, rank_of = b.run_tables
@@ -532,8 +527,6 @@ def _run_arrays(b: _Bundle, u: np.ndarray):
     lam = V[:, each, lead]                                 # its factor
     base = (on == lines0[each, lam]).sum(axis=1)
     rank_p = rank_of[(on == 0).sum(axis=1)]
-    if ctx.p == 2:                                         # -o = o
-        return base, rank_p, _offset_codes(ctx, Rp)
     o = matmul(ctx, xis, Rp).transpose(0, 2, 1)
     return base, rank_p, ctx.neg_table.take(o)
 
@@ -553,14 +546,11 @@ def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> np.ndarray:
     for x0 in range(0, X, step):
         lines = _sigma_lines(b.cfg, x0, min(x0 + step, X))
         ob = o[..., x0:x0 + step]
-        if ctx.p == 2:  # a sum is the XOR of the codes, below the run bits
-            idx = (ob[:, None, :] | shift) ^ lines
-        else:
-            idx = ctx.add_np(ob[:, None, 0], lines[0]).astype(np.intp)
-            for c in range(1, m):
-                idx *= q
-                idx += ctx.add_np(ob[:, None, c], lines[c])
-            idx += shift
+        idx = ctx.add_np(ob[:, None, 0], lines[0]).astype(np.intp)
+        for c in range(1, m):
+            idx *= q
+            idx += ctx.add_np(ob[:, None, c], lines[c])
+        idx += shift
         if off:
             idx -= off
         in_span = idx[:, 0].ravel()                        # c = 0
@@ -584,37 +574,17 @@ def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> np.ndarray:
     return cand[keys[cand] // 2 % (m + 1) == 1]
 
 
-def _offset_codes(ctx: FieldCtx, Rp: np.ndarray) -> np.ndarray:
-    """Codes of xi' R' for every xi', (S, q^(m - 1)) in code order; p = 2.
-
-    xi' R' sums y^i R'_j over the bits i of the digits xi'_j, so the codes
-    double up by one XOR per bit of xi', lowest first."""
-    S = len(Rp)
-    y = np.left_shift(1, np.arange(ctx.t))[:, None]
-    basis = codes(ctx.q, ctx.mul_np(Rp[:, :, None, :], y))    # (S, m-1, t)
-    bits = basis[:, ::-1].reshape(S, -1)
-    o = np.zeros((S, 1 << bits.shape[1]), dtype=np.intp)
-    for i in range(bits.shape[1]):
-        w = 1 << i
-        np.bitwise_xor(o[:, :w], bits[:, i, None], out=o[:, w:2 * w])
-    return o
-
-
 @functools.lru_cache(maxsize=1)
 def _sigma_lines(cfg: tuple, x0: int, x1: int) -> np.ndarray:
-    """The lines F_q sigma(xi', 1) of the xi' with codes x0 .. x1 - 1:
-    (q, X) codes for p = 2, else (m, q, X) digits; row c = 0 is the zero
-    vector."""
+    """The lines F_q sigma(xi', 1) of the xi' with codes x0 .. x1 - 1, as
+    (m, q, X) digits; row c = 0 is the zero vector."""
     b = _bundle(cfg)
     ctx = b.ctx
     xi = b.run_tables[0][x0:x1]
     sxi = b.spec.table.take(np.concatenate(
         [xi, np.ones((len(xi), 1), ctx.dtype)], axis=1))
-    lines = ctx.mul_np(np.arange(b.q, dtype=ctx.dtype)[:, None],
-                       sxi.T[:, None, :])                  # (m, q, X)
-    if ctx.p == 2:
-        return codes(b.q, np.moveaxis(lines, 0, -1))
-    return lines
+    return ctx.mul_np(np.arange(b.q, dtype=ctx.dtype)[:, None],
+                      sxi.T[:, None, :])
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -655,9 +625,9 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     Only opts["kind"] is read.  Returns start, stop, classes (always
     stop - start) and table, the (F + 1, m + 1, 2) counts of the keys of
     class_keys over (theta, rank class, check bit), one per class; chunks
-    fold by adding their tables.  Exhaustive theta sweeps count the least
-    runs of the run orbits instead (code._Sweep), so only the check kinds
-    reach this from code.
+    fold by adding their tables.  code._Sweep folds the check kinds over
+    every chunk (iter_sweep), and theta over the least run of each run
+    orbit, cut at the chunk starts, times the orbit's size.
     """
     b = _bundle(cfg)
     shape = (b.F + 1, b.m + 1, 2)

@@ -211,12 +211,14 @@ class _Sweep:
     shaped to broadcast against table; rank class 0 is rank 1 singular,
     1 rank 1 quasi-singular and r >= 2 rank r.
 
-    A "theta" sweep counts, in-process, the least run of each run orbit
-    (bulk.orbit_runs), whose runs hold the same cells, times the orbit's
-    size; the first run that holds a cell is the least of its orbit, so
-    first is that of every class.  The check kinds read their bit off
-    each class, so they count every chunk of bulk.iter_sweep, in
-    submission order, in up to threads forked workers.
+    Every part is a bulk.sweep_chunk table and the start of the chunk
+    that holds it.  A "theta" sweep counts, in-process, the least run of
+    each run orbit (bulk.orbit_runs), cut at the chunk starts, times the
+    orbit's size: the runs of an orbit hold the same cells, and the first
+    run that holds a cell is the least of its orbit, so first is that of
+    every class.  The check kinds read their bit off each class, so they
+    count every chunk of bulk.iter_sweep, in submission order, in up to
+    threads forked workers.
     """
 
     def __init__(self, sys: ProjectiveSystem, kind: str, threads: int):
@@ -248,20 +250,16 @@ class _Sweep:
             *(np.arange(d) for d in self.table.shape))
 
     def _orbit_parts(self):
-        """Per least run, in class order and in pieces of at most a chunk:
-        its cell counts times its orbit size, and per cell the chunk
-        start of its first class in the piece."""
-        cfg = self.sys.cfg
-        shape = (len(self.sys.gamma.functionals) + 1, self.sys.m + 1, 2)
-        for start, stop, size in bulk.orbit_runs(cfg):
-            for a in range(start, stop, self.chunk):
-                keys = bulk.class_keys(cfg, "theta", a,
-                                       min(a + self.chunk, stop))
-                counts = np.bincount(keys, minlength=np.prod(shape))
-                first = np.zeros(len(counts), dtype=np.int64)
-                cells, at = np.unique(keys, return_index=True)
-                first[cells] = (a + at) // self.chunk * self.chunk
-                yield (size * counts).reshape(shape), first.reshape(shape)
+        """Per least run, in class order and cut on the chunk grid: the
+        sweep_chunk table of each piece times the orbit size, and the
+        start of the chunk that holds the piece."""
+        chunk = self.chunk
+        for start, stop, size in bulk.orbit_runs(self.sys.cfg):
+            cuts = [start, *range(start // chunk * chunk + chunk, stop, chunk),
+                    stop]
+            for a, e in zip(cuts, cuts[1:]):
+                res = bulk.sweep_chunk(self.sys.cfg, {"kind": "theta"}, a, e)
+                yield size * res["table"], a // chunk * chunk
 
     def count(self, cells) -> int:
         """Classes in the cells where the broadcast bool array cells is set."""

@@ -302,3 +302,15 @@ def test_only_gf_reads_the_field_tables():
                      if path.name != "gf.py"
                      and re.search(r"\b(mul|add|sub)_table\b", path.read_text()))
     assert readers == []
+
+
+def test_only_gf_branches_on_p_2():
+    # characteristic 2 is a fact of the field encoding (add_np is XOR,
+    # neg_table the identity), so every other module takes one route at
+    # every p; bulk's p2 flag is read by perfbench/micro.py alone
+    src = Path(twistcode.__file__).parent
+    tests = sorted((path.name, line.strip())
+                   for path in src.glob("*.py") if path.name != "gf.py"
+                   for line in path.read_text().splitlines()
+                   if re.search(r"\bp\s*[!=]=\s*2\b", line))
+    assert tests == [("bulk.py", "self.p2 = ctx.p == 2")]
