@@ -8,9 +8,9 @@ one bincount of the q^m coset codes of a run counts theta for all its
 classes, one increment per class; the codes at c = 0 run over the row
 space of R', which gives rank M.  Every p adds the coset digitwise
 through add_np, which is XOR at p = 2.  On 2^18 classes from the middle
-of the order (2 vCPU) a theta chunk takes 13-18 ns per class at
-(8, 2, 1) and 19-23 at (9, 2, 1); theta_descent takes 310-320 and
-390-400.
+of the order (2 vCPU) a theta chunk takes 24-27 ns per class at
+(8, 2, 1) and 28-31 at (9, 2, 1); theta_descent takes 270-300 and
+370-580.
 
 A run is read off the class codes, not rows, through the one codec of
 the class order in projgeom (lead_blocks, digits and codes).
@@ -478,40 +478,31 @@ def _block_keys(b: _Bundle, start: int, stop: int) -> np.ndarray:
     So one bincount of the q^(m-1) x q coset codes of a run counts every
     last row at once, one increment per class.  Its c = 0 codes run over
     the row space of R', which gives rank M = rank R' + [r off that space].
-    The rank-1 classes lie in the runs with rank R' <= 1; their rows come
-    from their digits, and a vanishing pairing_batch (singular) moves
-    them to rank class 0.  A run that the range cuts counts its part in
-    the range.
+    The runs of a lead block go in slices of S = max(1, _RUN_SLICE // q^m),
+    and each slice is clipped to the codes D0 .. D1 - 1 that the range
+    holds in the block by one offset and one length, so a run that the
+    range cuts counts only its part.  The rank-1 classes are then picked
+    from the block's keys; their rows come from their codes, and a
+    vanishing pairing_batch (singular) moves them to rank class 0.
     """
     q, m, k = b.q, b.m, b.k
     qm = q ** m
-    blocks = lead_blocks(q, k, start, stop)
-    keys = np.empty(stop - start, dtype=np.intp)
-    pos, rank1 = [np.empty(0, np.intp)], [np.empty(0, np.int64)]
     S = max(1, _RUN_SLICE // qm)                           # runs per slice
+    keys = np.empty(stop - start, dtype=np.intp)
     at = 0                                      # keys written so far
-    for _, lo, hi, D0 in blocks:
-        D1 = D0 + hi - lo
-        u = np.arange(D0 // qm, -(-D1 // qm), dtype=np.int64)
-        # the codes of each run in the range: only the first and the last
-        # run can be cut, and a cut run is a slice of its own
-        head = np.maximum(D0 - u * qm, 0)
-        end = np.minimum(D1 - u * qm, qm)
-        cut = (head > 0) | (end < qm)
-        runs = _run_arrays(b, u)
-        i = 0
-        while i < len(u):
-            j = i + 1 if cut[i] else min(i + S, len(u) - int(cut[-1]))
-            off = int(head[i])
-            out = keys[at:at + (j - i - 1) * qm + int(end[j - 1]) - off]
-            p1 = _count_slice(b, [v[i:j] for v in runs], off, out)
-            s, r = np.divmod(p1 + off, qm)
-            pos.append(p1 + at)
-            rank1.append(u[i + s] * qm + r)
-            at += len(out)
-            i = j
-    rows = digits(np.concatenate(rank1), q, k, b.ctx.dtype)
-    keys[np.concatenate(pos)] -= (pairing_batch(b, rows) == 0) * 2  # singular
+    for D0, D1 in lead_blocks(q, k, start, stop):
+        u0 = D0 // qm
+        runs = _run_arrays(b, np.arange(u0, -(-D1 // qm), dtype=np.int64))
+        block = keys[at:at + D1 - D0]
+        for i in range(0, len(runs[0]), S):
+            a = max(D0, (u0 + i) * qm)
+            e = min(D1, (u0 + i + S) * qm)
+            _count_slice(b, [v[i:i + S] for v in runs], a - (u0 + i) * qm,
+                         block[a - D0:e - D0])
+        r1 = np.flatnonzero(block % (2 * (m + 1)) == 2)    # rank class 1
+        rows = digits(D0 + r1, q, k, b.ctx.dtype)
+        block[r1] -= (pairing_batch(b, rows) == 0) * 2     # singular
+        at += D1 - D0
     return keys
 
 
@@ -531,18 +522,19 @@ def _run_arrays(b: _Bundle, u: np.ndarray):
     return base, rank_p, ctx.neg_table.take(o)
 
 
-def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> np.ndarray:
-    """Write the cells of the len(keys) classes from code off of the first
-    of the runs on; returns the positions of rank 1.
+def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> None:
+    """Write the cells (theta, rank class, 0), rank 1 not yet split, of
+    the len(keys) classes from code off of the first of the runs on.
 
+    The coset codes, shifted by off, are clipped to 0 .. len(keys) - 1.
     The xi' go in blocks, so that no step holds more than about
     _RUN_SLICE coset codes."""
     ctx, q, m = b.ctx, b.q, b.m
     base, rank_p, o = runs
     qm, X, S, n = q ** m, q ** (m - 1), len(base), len(keys)
-    shift = np.arange(S, dtype=np.intp)[:, None, None] * qm
-    whole = off == 0 and n == S * qm
+    shift = np.arange(S, dtype=np.intp)[:, None, None] * qm - off
     step = max(1, _RUN_SLICE // (S * q))
+    cnt, span = np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.int8)
     for x0 in range(0, X, step):
         lines = _sigma_lines(b.cfg, x0, min(x0 + step, X))
         ob = o[..., x0:x0 + step]
@@ -551,30 +543,17 @@ def _count_slice(b: _Bundle, runs, off: int, keys: np.ndarray) -> np.ndarray:
             idx *= q
             idx += ctx.add_np(ob[:, None, c], lines[c])
         idx += shift
-        if off:
-            idx -= off
         in_span = idx[:, 0].ravel()                        # c = 0
         idx = idx.ravel()
-        if not whole:
-            idx = idx[idx.view(np.uintp) < n]
-            in_span = in_span[in_span.view(np.uintp) < n]
-        counts = np.bincount(idx, minlength=n)
-        if x0 == 0:
-            cnt, span = counts, np.zeros(n, dtype=np.int8)
-        else:
-            cnt += counts
-        span[in_span] = 2
+        cnt += np.bincount(idx[idx.view(np.uintp) < n], minlength=n)
+        span[in_span[in_span.view(np.uintp) < n]] = 2
     # 2 (theta (m + 1) + rank) with rank = rank R' + 1 - [r in the span]
     edges = np.clip(np.arange(S + 1) * qm - off, 0, n)
     cnt *= 2 * (m + 1)
     cnt += np.repeat(2 * (base * (m + 1) + rank_p + 1), np.diff(edges))
     np.subtract(cnt, span, out=keys)
-    low = np.flatnonzero(rank_p <= 1)                      # the rank-1 runs
-    cand = _ranges(edges[low], edges[low + 1])
-    return cand[keys[cand] // 2 % (m + 1) == 1]
 
 
-@functools.lru_cache(maxsize=1)
 def _sigma_lines(cfg: tuple, x0: int, x1: int) -> np.ndarray:
     """The lines F_q sigma(xi', 1) of the xi' with codes x0 .. x1 - 1, as
     (m, q, X) digits; row c = 0 is the zero vector."""
@@ -585,13 +564,6 @@ def _sigma_lines(cfg: tuple, x0: int, x1: int) -> np.ndarray:
         [xi, np.ones((len(xi), 1), ctx.dtype)], axis=1))
     return ctx.mul_np(np.arange(b.q, dtype=ctx.dtype)[:, None],
                       sxi.T[:, None, :])
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The concatenated aranges lo[i] .. hi[i] - 1."""
-    lengths = hi - lo
-    return (np.arange(lengths.sum(), dtype=np.intp)
-            + np.repeat(lo - np.cumsum(lengths) + lengths, lengths))
 
 
 def _check_bit(b: _Bundle, kind: str, R: np.ndarray,

@@ -61,7 +61,8 @@ class ProjectiveSystem:
 
     @property
     def cfg(self) -> tuple:
-        """Picklable config tuple; workers rebuild the system from it."""
+        """Hashable config tuple: the key of bulk's per-configuration
+        tables (bulk._bundle), which forked sweep workers inherit."""
         return (self.ctx.p, self.ctx.t, self.ctx.modulus, self.spec.j, self.n)
 
     @functools.cached_property

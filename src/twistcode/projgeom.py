@@ -11,7 +11,9 @@ order" is well defined everywhere.
 
 One codec encodes and decodes the order: in the lead block with tail
 digits after the leading 1, local index C has the code D = C + q^tail,
-whose base-q digits are the row (lead_blocks, digits and codes).
+whose base-q digits are the row.  lead_blocks gives the codes of a range
+of classes, one code range per lead block; digits and codes turn codes
+into rows and back.
 """
 
 from __future__ import annotations
@@ -58,10 +60,11 @@ def capped_count(count, q: int, e: int, cap: int, message: str) -> int:
     return total
 
 
-def lead_blocks(q: int, k: int, start: int, stop: int) -> list[tuple]:
-    """(tail, lo, hi, D) per lead block that classes start..stop-1 meet,
-    in order: its classes lo..hi-1, tail digits after the leading 1 and D,
-    the code of class lo.  Raises ValueError on a range outside the order."""
+def lead_blocks(q: int, k: int, start: int,
+                stop: int) -> list[tuple[int, int]]:
+    """(D0, D1) per lead block that classes start..stop-1 meet, in order:
+    the codes D0 .. D1 - 1 of its classes in the range.  Raises ValueError
+    on a range outside the order."""
     total = num_classes(q, k)
     if not 0 <= start <= stop <= total:
         raise ValueError(f"bad range [{start}, {stop}) of {total} classes")
@@ -70,7 +73,8 @@ def lead_blocks(q: int, k: int, start: int, stop: int) -> list[tuple]:
         block_lo = num_classes(q, tail)       # classes before this block
         lo, hi = max(start, block_lo), min(stop, block_lo + q ** tail)
         if lo < hi:
-            blocks.append((tail, lo, hi, lo - block_lo + q ** tail))
+            shift = q ** tail - block_lo      # class block_lo has code q^tail
+            blocks.append((lo + shift, hi + shift))
     return blocks
 
 
@@ -103,8 +107,8 @@ def class_reps_range(q: int, k: int, start: int, stop: int,
     digits of the local index in base q, most significant digit first (that
     is what makes the order lexicographic): the k digits of the class code.
     """
-    blocks = lead_blocks(q, k, start, stop)
-    D = [np.arange(d, d + hi - lo, dtype=np.int64) for _, lo, hi, d in blocks]
+    D = [np.arange(d0, d1, dtype=np.int64)
+         for d0, d1 in lead_blocks(q, k, start, stop)]
     return digits(np.concatenate(D or [np.empty(0, np.int64)]), q, k, dtype)
 
 

@@ -197,7 +197,9 @@ def _seam_ranges(q, k, width):
     ((2, 2, 1, 1), [(0, num_classes(4, 4))]),           # n = 1
     ((3, 3, 1, 1), [(0, num_classes(27, 4))]),
     ((2, 1, 0, 2), [(0, num_classes(2, 9))]),           # one bit a digit
-    ((2, 3, 1, 2), _seam_ranges(8, 9, 700)),
+    ((2, 3, 1, 2), _seam_ranges(8, 9, 700)
+     + [(num_classes(8, 8) + 100 * 512 + 77,        # a block in 4 slices of runs
+         num_classes(8, 8) + 500 * 512 + 377)]),
     ((3, 2, 1, 2), _seam_ranges(9, 9, 700)),
     ((2, 2, 1, 3), _seam_ranges(4, 16, 300)),
     ((2, 4, 2, 2), _seam_ranges(16, 9, 300))],
