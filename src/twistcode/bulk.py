@@ -43,11 +43,12 @@ linalg.matmul and the FieldCtx array operations, so none of them needs
 the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
-classes per cell (theta, rank class, check bit) of class_keys, and the
-kind of sweep picks the check bit.  code adds the chunk tables as they
-come, in submission order, so every aggregate is byte-identical for any
-worker count, and reads a witness off the keys of the first chunk in
-which its cell turns up.  With more than one worker, iter_sweep forks
+classes per cell (theta, rank class, check bit) of class_keys and notes
+the index of each cell's first class; the kind of sweep picks the check
+bit.  code adds the chunk tables as they come, in submission order, and
+folds the first classes by np.minimum, so every aggregate is
+byte-identical for any worker count, and a witness is read off the
+folded first classes.  With more than one worker, iter_sweep forks
 W = min(threads, chunks) processes, and worker w runs chunks w, w + W,
 w + 2W, ... and sends each result on a pipe of its own.  The parent only
 waits on those pipes; an EOF means that a worker has exited.  The
@@ -595,18 +596,22 @@ def sweep_chunk(cfg: tuple, opts: dict, start: int, stop: int) -> dict:
     """Count the classes in [start, stop) per cell.
 
     Only opts["kind"] is read.  Returns start, stop, classes (always
-    stop - start) and table, the (F + 1, m + 1, 2) counts of the keys of
-    class_keys over (theta, rank class, check bit), one per class; chunks
-    fold by adding their tables.  code._Sweep folds the check kinds over
+    stop - start), table, the (F + 1, m + 1, 2) counts of the keys of
+    class_keys over (theta, rank class, check bit), one per class, and
+    first, per cell the index of its first class in the range (int64 max
+    where none); chunks fold by adding their tables and taking the
+    np.minimum of their firsts.  code._Sweep folds the check kinds over
     every chunk (iter_sweep), and theta over the least run of each run
-    orbit, cut at the chunk starts, times the orbit's size.
+    orbit, times the orbit's size.
     """
     b = _bundle(cfg)
     shape = (b.F + 1, b.m + 1, 2)
     keys = class_keys(cfg, opts["kind"], start, stop)
+    first = np.full(math.prod(shape), np.iinfo(np.int64).max)
+    np.minimum.at(first, keys, np.arange(start, stop))
     return {"start": start, "stop": stop, "classes": stop - start,
-            "table": np.bincount(keys, minlength=math.prod(shape)
-                                 ).reshape(shape)}
+            "table": np.bincount(keys, minlength=len(first)).reshape(shape),
+            "first": first.reshape(shape)}
 
 
 def iter_sweep(cfg: tuple, opts: dict, total: int, threads: int = 1,
@@ -714,10 +719,16 @@ def nonzero_draws(ctx: FieldCtx, k: int, count: int,
 def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
     """Fixed-functional counts of `count` seeded random nonzero matrices.
 
-    The draws are those of nonzero_draws; theta comes from theta_descent.
+    The draws are those of nonzero_draws, taken and descended in blocks
+    of _SLICE rows on one rng, so no more than one block of draws is held;
+    theta comes from theta_descent.
     """
     p, t, modulus, j, n = cfg
     ctx = make_field(p, t, modulus)
     spec = make_autspec(ctx, j)
-    draws = nonzero_draws(ctx, (n + 1) ** 2, count, SplitMix64(seed))
-    return theta_descent(ctx, spec, draws)[0].astype(np.int64)
+    rng = SplitMix64(seed)
+    theta = np.empty(count, dtype=np.int64)
+    for a in range(0, count, _SLICE):
+        draws = nonzero_draws(ctx, (n + 1) ** 2, min(_SLICE, count - a), rng)
+        theta[a:a + _SLICE] = theta_descent(ctx, spec, draws)[0]
+    return theta

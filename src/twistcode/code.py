@@ -205,20 +205,18 @@ class _Sweep:
     """One exhaustive sweep of one kind, folded from its parts.
 
     table holds the class counts per cell (theta, rank class, check bit)
-    of bulk.class_keys, and first, per cell, the start of the chunk of
-    DEFAULT_CHUNK classes that holds its first class (read only where the
-    count is nonzero).  theta, rclass and bit are the cell coordinates,
-    shaped to broadcast against table; rank class 0 is rank 1 singular,
-    1 rank 1 quasi-singular and r >= 2 rank r.
+    of bulk.class_keys, and first, per cell, the index of its first class
+    (int64 max where the count is zero).  theta, rclass and bit are the
+    cell coordinates, shaped to broadcast against table; rank class 0 is
+    rank 1 singular, 1 rank 1 quasi-singular and r >= 2 rank r.
 
-    Every part is a bulk.sweep_chunk table and the start of the chunk
-    that holds it.  A "theta" sweep counts, in-process, the least run of
-    each run orbit (bulk.orbit_runs), cut at the chunk starts, times the
-    orbit's size: the runs of an orbit hold the same cells, and the first
-    run that holds a cell is the least of its orbit, so first is that of
-    every class.  The check kinds read their bit off each class, so they
-    count every chunk of bulk.iter_sweep, in submission order, in up to
-    threads forked workers.
+    Every part is a bulk.sweep_chunk result: its table adds, weighted,
+    and its first folds by np.minimum.  A "theta" sweep counts,
+    in-process, the least run of each run orbit (bulk.orbit_runs), times
+    the orbit's size: the runs of an orbit hold the same cells, so the
+    first class of a cell lies in the least run of its orbit.  The check
+    kinds read their bit off each class, so they count every chunk of
+    bulk.iter_sweep, in submission order, in up to threads forked workers.
     """
 
     def __init__(self, sys: ProjectiveSystem, kind: str, threads: int):
@@ -230,36 +228,21 @@ class _Sweep:
             if size > cap:
                 raise ValueError(
                     f"{size} {unit} exceed the exhaustive cap {cap}")
-        self.sys, self.kind, self.total = sys, kind, total
-        self.chunk = bulk.DEFAULT_CHUNK
+        self.total = total
         if kind == "theta":
-            parts = self._orbit_parts()
+            parts = ((size, bulk.sweep_chunk(sys.cfg, {"kind": kind}, a, e))
+                     for a, e, size in bulk.orbit_runs(sys.cfg))
         else:
-            parts = ((res["table"], res["start"]) for res in bulk.iter_sweep(
+            parts = ((1, res) for res in bulk.iter_sweep(
                 sys.cfg, {"kind": kind}, total, threads=threads,
-                chunk=self.chunk))
-        # a running sum, and per cell the chunk start of its first class,
-        # from the first part (in class order) that has one; 0 where none
-        self.table = self.first = 0
-        for table, first in parts:
-            new = (table > 0) & (self.table == 0)
-            self.table = self.table + table
-            self.first = np.where(new, first, self.first)
+                chunk=bulk.DEFAULT_CHUNK))
+        self.table, self.first = 0, np.iinfo(np.int64).max
+        for size, res in parts:
+            self.table = self.table + size * res["table"]
+            self.first = np.minimum(self.first, res["first"])
         assert self.table.sum() == total
         self.theta, self.rclass, self.bit = np.ix_(
             *(np.arange(d) for d in self.table.shape))
-
-    def _orbit_parts(self):
-        """Per least run, in class order and cut on the chunk grid: the
-        sweep_chunk table of each piece times the orbit size, and the
-        start of the chunk that holds the piece."""
-        chunk = self.chunk
-        for start, stop, size in bulk.orbit_runs(self.sys.cfg):
-            cuts = [start, *range(start // chunk * chunk + chunk, stop, chunk),
-                    stop]
-            for a, e in zip(cuts, cuts[1:]):
-                res = bulk.sweep_chunk(self.sys.cfg, {"kind": "theta"}, a, e)
-                yield size * res["table"], a // chunk * chunk
 
     def count(self, cells) -> int:
         """Classes in the cells where the broadcast bool array cells is set."""
@@ -267,14 +250,9 @@ class _Sweep:
 
     def first_class(self, cells) -> int | None:
         """Index of the first class in those cells, None if there is none."""
-        cells = np.broadcast_to(cells, self.table.shape)
-        starts = self.first[cells & (self.table > 0)]
-        if not starts.size:
-            return None
-        start = int(starts.min())
-        stop = min(start + self.chunk, self.total)
-        keys = bulk.class_keys(self.sys.cfg, self.kind, start, stop)
-        return start + int(np.argmax(cells.reshape(-1)[keys]))
+        first = int(self.first[np.broadcast_to(cells, self.first.shape)]
+                    .min(initial=self.total))
+        return None if first == self.total else first
 
 
 def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
@@ -288,12 +266,16 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
     minimum distance when it applies.  flag_check additionally recomputes
     every codeword's zero count from the flags and asserts the
     intersection identity per class (default: on when classes*N is small).
+    Sampled mode takes at most as many draws as the exhaustive cap.
     """
     q, n = sys.ctx.q, sys.n
 
     if sample is not None:
         if sample <= 0:
             raise ValueError("sample size must be positive")
+        if sample > bulk.EXHAUSTIVE_CAP:
+            raise ValueError(
+                f"{sample} samples exceed the cap {bulk.EXHAUSTIVE_CAP}")
         thetas = np.bincount(bulk.sampled_theta(sys.cfg, sample, seed))
         counts = {weight_of_theta(q, n, th): c
                   for th, c in enumerate(thetas.tolist()) if c}

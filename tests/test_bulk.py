@@ -31,7 +31,7 @@ def _batch(ps, count, seed):
 
 def test_bundle_reuses_the_system():
     # cfg carries the resolved modulus, which finds the same field, so a
-    # sweep worker or a witness re-read builds no second field or system
+    # sweep worker or a later sweep builds no second field or system
     for cfg in [(2, 2, 1, 2), (3, 2, 1, 2), (3, 1, 0, 2), (2, 4, 2, 1)]:
         ps = make_system(*cfg)
         assert bulk._bundle(ps.cfg).sys is ps
@@ -275,9 +275,10 @@ def test_sampled_theta_beyond_the_table_fields():
         assert theta(ps, M).theta == th
 
 
-def test_sampled_theta_draws_rows_like_the_scalar_loop():
+def test_sampled_theta_draws_rows_like_the_scalar_loop(monkeypatch):
     # at q = 2 with 2 x 2 matrices one row in 16 is zero, so the block
-    # draws must reject rows exactly where random_nonzero_matrix does
+    # draws must reject rows exactly where random_nonzero_matrix does,
+    # also where blocks of 7 rows continue the stream of one rng
     ps = system(2, 1, 0, 1)
     rng = SplitMix64(9)
     mats, rejected = [], 0
@@ -290,6 +291,22 @@ def test_sampled_theta_draws_rows_like_the_scalar_loop():
     assert rejected > 0
     got = bulk.sampled_theta(ps.cfg, 300, seed=9)
     assert got.tolist() == [theta(ps, M).theta for M in mats]
+    monkeypatch.setattr(bulk, "_SLICE", 7)
+    assert np.array_equal(bulk.sampled_theta(ps.cfg, 300, seed=9), got)
+
+
+def test_sampled_theta_holds_one_block_of_draws():
+    # the draws are taken and descended in blocks of _SLICE rows: 2^18
+    # draws at (4, 3) peaked at 6.3 MB under tracemalloc, against 64 MB
+    # when all of them were drawn at once
+    cfg = system(2, 2, 1, 3).cfg
+    bulk.sampled_theta(cfg, 1, seed=0)          # field and tables built
+    tracemalloc.start()
+    got = bulk.sampled_theta(cfg, 1 << 18, seed=2)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert len(got) == 1 << 18
+    assert peak < 16 << 20, peak
 
 
 @pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (3, 2, 1, 2), (2, 11, 1, 1)])
@@ -377,7 +394,7 @@ def test_cond_theta_sweep_keeps_the_rank_options():
 
 
 def test_sweep_is_thread_invariant(monkeypatch):
-    # the folded record, counts and first chunks, is the same for every
+    # the folded record, counts and first classes, is the same for every
     # worker count, including more workers than the 6 chunks
     ps = system(2, 2, 1, 2)
     total = num_classes(4, 9)
@@ -542,20 +559,31 @@ def test_chunk_boundaries_do_not_lose_classes():
     total = num_classes(4, 9)
     for kind in ("theta", "cond"):
         opts = {"kind": kind}
-        whole = bulk.sweep_chunk(ps.cfg, opts, 0, total)["table"]
-        halves = [bulk.sweep_chunk(ps.cfg, opts, 0, total // 2)["table"],
-                  bulk.sweep_chunk(ps.cfg, opts, total // 2, total)["table"]]
-        assert np.array_equal(halves[0] + halves[1], whole)
+        whole = bulk.sweep_chunk(ps.cfg, opts, 0, total)
+        halves = [bulk.sweep_chunk(ps.cfg, opts, 0, total // 2),
+                  bulk.sweep_chunk(ps.cfg, opts, total // 2, total)]
+        assert np.array_equal(halves[0]["table"] + halves[1]["table"],
+                              whole["table"])
+        first = np.minimum(halves[0]["first"], halves[1]["first"])
+        assert np.array_equal(first, whole["first"])
+        # on the nonempty cells, the first class of the range per cell
+        start = 1000
+        part = bulk.sweep_chunk(ps.cfg, opts, start, total)
+        cell, at = np.unique(bulk.class_keys(ps.cfg, kind, start, total),
+                             return_index=True)
+        nonempty = np.flatnonzero(part["table"].reshape(-1))
+        assert np.array_equal(nonempty, cell)
+        assert np.array_equal(part["first"].reshape(-1)[cell], start + at)
 
 
-def _class_route(ps, chunk):
+def _class_route(ps):
     """The theta table per class, np.bincount of class_keys over [0, total),
-    and per cell the start of the chunk of its first class (0 where none)."""
+    and per cell the index of its first class (int64 max where none)."""
     b = bulk._bundle(ps.cfg)
     shape = (b.F + 1, b.m + 1, 2)
     total = num_classes(ps.ctx.q, ps.k)
     counts = np.zeros(np.prod(shape), dtype=np.int64)
-    first = np.full(np.prod(shape), total)
+    first = np.full(np.prod(shape), np.iinfo(np.int64).max)
     for a in range(0, total, 1 << 20):      # pieces: no 19M-key array
         keys = bulk.class_keys(ps.cfg, "theta", a, min(a + (1 << 20), total))
         piece = np.bincount(keys, minlength=len(counts))
@@ -563,7 +591,6 @@ def _class_route(ps, chunk):
             cell, at = np.unique(keys, return_index=True)
             first[cell] = np.minimum(first[cell], a + at)
         counts += piece
-    first = np.where(counts > 0, first // chunk * chunk, 0)
     return counts.reshape(shape), first.reshape(shape)
 
 
@@ -580,20 +607,19 @@ def test_orbit_folded_theta_sweep_matches_the_class_route(cfg, runs,
                                                           monkeypatch):
     # a theta sweep counts only the least run of each run orbit, weighted
     # by the orbit's size, so a part's table is in general not that of its
-    # own classes; the folded record, counts and first chunks, is the
-    # class route's.
-    # Chunks of 1000 and 4099 classes cut runs (q^m = 64 .. 19683); at
-    # (8, 2), 19,173,961 classes, the class route takes about 0.3 s (the
-    # sweep 3 ms), so those run once
+    # own classes; the folded record, counts and first classes, is the
+    # class route's, for any chunk size and worker count.
+    # Chunks of 1000 and 4099 classes would cut runs (q^m = 64 .. 19683);
+    # at (8, 2), 19,173,961 classes, the class route takes about 0.3 s
+    # (the sweep 3 ms), so those run one combination
     ps = system(*cfg)
+    table, first = _class_route(ps)
     combos = [(1000, 1), (1000, 2), (4099, 1), (4099, 2)]
     for chunk, threads in combos if runs == "all" else [(4099, 2)]:
         monkeypatch.setattr(bulk, "DEFAULT_CHUNK", chunk)
         sweep = _Sweep(ps, "theta", threads)
-        table, first = _class_route(ps, chunk)
         assert np.array_equal(sweep.table, table), (chunk, threads)
-        assert np.array_equal(np.where(table > 0, sweep.first, 0), first), \
-            (chunk, threads)
+        assert np.array_equal(sweep.first, first), (chunk, threads)
 
 
 _ORBIT_CFGS = [(2, 2, 1, 2), (2, 3, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2),
@@ -781,8 +807,8 @@ def test_exhaustive_spectra_beyond_the_cap(cfg, counts, monkeypatch):
 
 
 def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch):
-    # a witness is re-read from the first chunk where its cell turns up;
-    # with chunks of 2^10 the (4, 2) sweep has 86 of them
+    # a witness is read off the folded first classes; a theta sweep has no
+    # chunk grid, so chunks of 2^10 (86 of them at (4, 2)) change nothing
     ps = system(2, 2, 1, 2)
     ctx = ps.ctx
     R = class_reps_range(4, 9, 0, num_classes(4, 9), dtype=ctx.dtype)
@@ -798,6 +824,22 @@ def test_witnesses_do_not_depend_on_the_chunk_size(monkeypatch):
         assert wide[r].witness_index == narrow.witness_index == first
         assert wide[r].max_theta == narrow.max_theta == mx
         assert np.array_equal(narrow.witness, R[first].reshape(3, 3))
+
+
+def test_witnesses_are_read_off_the_record(monkeypatch):
+    # first_class is a lookup in the folded first classes: once the sweep
+    # is built, no class key is read again
+    ps = system(2, 2, 1, 2)
+    sweep = _Sweep(ps, "theta", 1)
+
+    def no_keys(*args):
+        raise AssertionError("class keys read again")
+
+    monkeypatch.setattr(bulk, "class_keys", no_keys)
+    rank1 = sweep.rclass <= 1
+    assert sweep.first_class(rank1 & (sweep.theta == m_bound(1, 4, 2, 2))) == 0
+    assert sweep.first_class((sweep.rclass == 3) & (sweep.theta == 7)) == 1637
+    assert sweep.first_class(sweep.bit == 1) is None        # empty cells
 
 
 def test_sampled_theta_reproducible():

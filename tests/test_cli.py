@@ -473,6 +473,24 @@ def test_huge_n_is_a_short_usage_error():
                                        "10000000 cap")
 
 
+def test_huge_sample_is_a_short_usage_error():
+    # a sample above the exhaustive cap is refused before any draw, in a
+    # fresh interpreter with a timeout: no memory error, no traceback
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for sample in (str(10 ** 11), str(10 ** 30)):
+        argv = ["spectrum", "--q", "4", "--j", "1", "--n", "2",
+                "--sample", sample]
+        proc = subprocess.run(
+            [sys.executable, "-m", "twistcode.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "ValueError", argv
+        assert len(error["message"]) < 200, argv
+        assert error["message"] == f"{sample} samples exceed the cap 20000000"
+
+
 _HUGE = st.integers(-10 ** 30, 10 ** 30)
 
 
