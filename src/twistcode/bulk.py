@@ -37,8 +37,9 @@ codewords from ProjectiveSystem.codewords; the minimality sweep ranks
 each codeword's zero rows with subset_ranks.
 
 fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
-(kept for the solution masks of min_weight_sweep) runs it on stacks,
-code.theta on single matrices.  Every kernel works through
+runs it on stacks, with the one minimum-weight condition of the cond
+sweep and code.min_weight_condition_n2, and code.theta on single
+matrices.  Every kernel works through
 linalg.matmul and the FieldCtx array operations, so none of them needs
 the q x q field tables, and each works at every q.
 
@@ -70,7 +71,7 @@ from .gamma import base_cardinality
 from .gf import AutSpec, FieldCtx, make_autspec, make_field
 from .linalg import invert, matmul, rank_batch, subset_ranks
 from .projgeom import (class_indices, class_reps_range, codes, digits,
-                       lead_blocks, line_array, num_classes)
+                       lead_blocks, num_classes)
 from .rng import SplitMix64
 
 EXHAUSTIVE_CAP = 2 * 10 ** 7
@@ -135,13 +136,6 @@ class _Bundle:
         rank_of[[num_classes(q, m - 1 - r) for r in range(m)]] = range(m)
         return xis, normal, (normal != 0).argmax(axis=1), lines, rank_of
 
-    @functools.cached_property
-    def dual_line_masks(self) -> list[int]:
-        """Bit masks (over functional indices) of the lines of PG(V*)."""
-        assert self.F <= 62, "bit-mask line test needs <= 62 functionals"
-        lines = line_array(self.ctx, self.m)
-        return np.bitwise_or.reduce(np.left_shift(1, lines), axis=1).tolist()
-
 
 @functools.lru_cache(maxsize=None)
 def _bundle(cfg: tuple) -> _Bundle:
@@ -173,24 +167,33 @@ def fixed_scan(ctx: FieldCtx, funcs: np.ndarray, tau: np.ndarray,
     return np.moveaxis(ok, 0, -1), np.moveaxis(lam, 0, -1)
 
 
-def theta_batch(b: _Bundle, R: np.ndarray, want_solmask: bool = False):
-    """Fixed-functional count per matrix in the batch (fixed_scan).
-
-    With want_solmask the per-functional solution bits for lambda != 0 are
-    packed into an int64 mask (needs F <= 62 functionals).
+def theta_batch(b: _Bundle, R: np.ndarray, want_condition: bool = False):
+    """Fixed-functional count per matrix in the batch (fixed_scan), and
+    with want_condition the minimum-weight condition (n = 2, involutory
+    sigma) of each, else None: three independent solutions xi in one norm
+    class lambda sigma(lambda) of F_s*, ranked by one subset_ranks call per
+    class over the rows with at least three.
     """
-    funcs = b.sys.gamma.funcs_arr
-    bits = np.left_shift(1, np.arange(b.F, dtype=np.int64))
+    ctx, funcs = b.ctx, b.sys.gamma.funcs_arr
     step = max(1, _PRODUCTS // (b.F * b.k))
     theta = np.empty(len(R), dtype=np.int32)
-    sol = np.empty(len(R), dtype=np.int64) if want_solmask else None
+    if want_condition:
+        norm_of = ctx.mul_np(np.arange(b.q, dtype=ctx.dtype), b.spec.table)
+        nu = np.empty((b.F, len(R)), dtype=ctx.dtype)
     for a in range(0, len(R), step):
         M = R[a:a + step].reshape(-1, b.m, b.m)
-        ok, lam = fixed_scan(b.ctx, funcs, b.spec.table, M)
+        ok, lam = fixed_scan(ctx, funcs, b.spec.table, M)
         theta[a:a + step] = ok.sum(axis=1)
-        if want_solmask:
-            sol[a:a + step] = ((ok & (lam != 0)) * bits).sum(axis=1)
-    return theta, sol
+        if want_condition:                  # 0 where no solution, lambda = 0
+            np.multiply(norm_of.take(lam.T), ok.T, out=nu[:, a:a + step])
+    if not want_condition:
+        return theta, None
+    cond = np.zeros(len(R), dtype=bool)
+    for v in [a for a in range(1, b.q) if b.spec.tlist[a] == a]:   # F_s*
+        sol = nu == v
+        rows = np.flatnonzero(sol.sum(axis=0) >= 3)
+        cond[rows] |= subset_ranks(ctx, funcs, sol[:, rows].T, 3) == 3
+    return theta, cond
 
 
 def zero_counts_batch(b: _Bundle, R: np.ndarray,
@@ -451,9 +454,10 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
     (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank class
     come from _block_keys, one key per class.  kind picks the check bit:
     "theta" sets none, "flag" marks a violated intersection identity
-    (zero_counts_batch), "cond" the solutions on no line of the dual
-    space (theta_batch's masks; its theta is asserted to equal the block
-    count's) and "minimality" a zero set of rank < k - 1 (subset_ranks).
+    (zero_counts_batch), "cond" the minimum-weight condition, three
+    independent solutions in one norm class (theta_batch's condition; its
+    theta is asserted to equal the block count's) and "minimality" a zero
+    set of rank < k - 1 (subset_ranks).
     Only the check bits build the rows of class_reps_range.
     """
     b = _bundle(cfg)
@@ -574,12 +578,9 @@ def _check_bit(b: _Bundle, kind: str, R: np.ndarray,
         per_theta = theta.astype(np.int64) * b.q ** (b.n - 1)
         return z != base_cardinality(b.q, b.n) + per_theta
     if kind == "cond":
-        scan, sol = theta_batch(b, R, want_solmask=True)
+        scan, cond = theta_batch(b, R, want_condition=True)
         assert np.array_equal(scan, theta), "scan and block theta differ"
-        contained = np.zeros(R.shape[0], dtype=bool)
-        for mk in b.dual_line_masks:
-            contained |= (sol & ~mk) == 0
-        return (sol != 0) & ~contained
+        return cond
     if kind == "minimality":
         # zero rows of rank k - 1 per class, in slices: no (len(R), N) mask
         step = max(1, _PRODUCTS // b.N)
@@ -717,7 +718,14 @@ def nonzero_draws(ctx: FieldCtx, k: int, count: int,
 
 
 def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
-    """Fixed-functional counts of `count` seeded random nonzero matrices.
+    """Fixed-functional counts of `count` seeded random nonzero matrices,
+    one int64 per draw: the blocks of _theta_blocks, joined."""
+    return np.concatenate([np.zeros(0, np.int64),
+                           *_theta_blocks(cfg, count, seed)])
+
+
+def _theta_blocks(cfg: tuple, count: int, seed: int):
+    """Yield theta of the `count` seeded draws of sampled_theta in blocks.
 
     The draws are those of nonzero_draws, taken and descended in blocks
     of _SLICE rows on one rng, so no more than one block of draws is held;
@@ -727,8 +735,6 @@ def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
     ctx = make_field(p, t, modulus)
     spec = make_autspec(ctx, j)
     rng = SplitMix64(seed)
-    theta = np.empty(count, dtype=np.int64)
     for a in range(0, count, _SLICE):
         draws = nonzero_draws(ctx, (n + 1) ** 2, min(_SLICE, count - a), rng)
-        theta[a:a + _SLICE] = theta_descent(ctx, spec, draws)[0]
-    return theta
+        yield theta_descent(ctx, spec, draws)[0]

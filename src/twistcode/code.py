@@ -28,7 +28,7 @@ import numpy as np
 from . import bulk
 from .embedding import ProjectiveSystem
 from .gamma import base_cardinality
-from .gf import AutSpec, FieldCtx, norm
+from .gf import AutSpec, FieldCtx
 from .linalg import (as_matrix, invert, is_scalar_matrix, left_kernel, matmul,
                      normalize_rep, rank, scalar_mul, sigma_entrywise)
 from .projgeom import class_indices, class_reps_range, line_array, num_classes
@@ -266,7 +266,8 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
     minimum distance when it applies.  flag_check additionally recomputes
     every codeword's zero count from the flags and asserts the
     intersection identity per class (default: on when classes*N is small).
-    Sampled mode takes at most as many draws as the exhaustive cap.
+    Sampled mode takes at most as many draws as the exhaustive cap and
+    bincounts theta per block of draws (bulk._theta_blocks).
     """
     q, n = sys.ctx.q, sys.n
 
@@ -276,7 +277,8 @@ def weight_spectrum(sys: ProjectiveSystem, sample: int | None = None,
         if sample > bulk.EXHAUSTIVE_CAP:
             raise ValueError(
                 f"{sample} samples exceed the cap {bulk.EXHAUSTIVE_CAP}")
-        thetas = np.bincount(bulk.sampled_theta(sys.cfg, sample, seed))
+        thetas = sum(np.bincount(block, minlength=num_classes(q, n + 1) + 1)
+                     for block in bulk._theta_blocks(sys.cfg, sample, seed))
         counts = {weight_of_theta(q, n, th): c
                   for th, c in enumerate(thetas.tolist()) if c}
         return SpectrumTable(counts=dict(sorted(counts.items())),
@@ -365,48 +367,35 @@ def is_minimal(sys: ProjectiveSystem, threads: int = 1) -> MinimalityReport:
 # minimum-weight characterizations
 # ---------------------------------------------------------------------------
 
-def _solutions(sys: ProjectiveSystem, M) -> list[tuple[tuple[int, ...], int]]:
-    """All (xi rep, lambda) with xi M = lambda sigma(xi), lambda != 0."""
-    ctx, g = sys.ctx, sys.gamma
-    M = as_matrix(ctx, M, square=sys.m)
-    ok, lam = bulk.fixed_scan(ctx, g.funcs_arr, sys.spec.table, M)
-    return [(g.functionals[i].rep, int(lam[i]))
-            for i in np.flatnonzero(ok & (lam != 0))]
-
-
 def min_weight_condition_n2(sys: ProjectiveSystem, M) -> bool:
     """Minimum-weight test for n = 2, involutory sigma.
 
     True iff some norm class of lambda values admits three linearly
     independent solution functionals; by the plane classification this is
-    exactly when the codeword of M has the minimum weight q^3 - s^3.
+    exactly when the codeword of M has the minimum weight q^3 - s^3
+    (bulk.theta_batch's condition, on one matrix).
     """
     ctx, spec = sys.ctx, sys.spec
     if sys.n != 2:
         raise ValueError("this characterization is specific to n = 2")
     if spec.order != 2:
         raise ValueError("needs an involutory sigma != 1")
-    groups: dict[int, list] = {}
-    for rep, lam in _solutions(sys, M):
-        groups.setdefault(norm(ctx, spec, lam), []).append(rep)
-    for reps in groups.values():
-        if len(reps) >= 3 and rank(ctx, np.array(reps, dtype=ctx.dtype)) >= 3:
-            return True
-    return False
+    M = as_matrix(ctx, M, square=sys.m)
+    _, cond = bulk.theta_batch(bulk._bundle(sys.cfg), M.reshape(1, -1),
+                               want_condition=True)
+    return bool(cond[0])
 
 
 def min_weight_sweep(sys: ProjectiveSystem, threads: int = 1) -> dict:
     """Exhaustive check that minimum weight <=> the three-solution condition.
 
-    Vectorized via line containment of the solution set, which matches the
-    norm-grouped statement only when the fixed subfield is GF(2) (single
-    norm class); larger s must use min_weight_condition_n2 per matrix.
+    The "cond" sweep sets each class's check bit by the condition of
+    min_weight_condition_n2 (bulk.theta_batch), at every s; the class cap
+    limits it to q = 4.
     """
     ctx, spec = sys.ctx, sys.spec
     if sys.n != 2 or spec.order != 2:
         raise ValueError("sweep requires n = 2 and involutory sigma")
-    if spec.s != 2:
-        raise ValueError("vectorized sweep requires fixed subfield GF(2)")
     target = m_bound(sys.m, ctx.q, sys.n, spec.s)   # theta at minimum weight
     sweep = _Sweep(sys, "cond", threads)
     mism = (sweep.theta == target) != (sweep.bit == 1)

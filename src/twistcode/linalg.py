@@ -30,11 +30,15 @@ _PREFIX_ROWS = 12   # rows per set in the first round of subset_ranks
 
 def as_matrix(ctx: FieldCtx, data, square: int | None = None) -> np.ndarray:
     """Validate and convert to a matrix of field-element encodings."""
-    A = np.asarray(data, dtype=np.int64)
+    encodings = f"matrix entries must be encodings in [0, {ctx.q})"
+    try:
+        A = np.asarray(data, dtype=np.int64)
+    except OverflowError:                   # an entry beyond int64
+        raise ValueError(encodings) from None
     if A.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {A.shape}")
     if A.size and (A.min() < 0 or A.max() >= ctx.q):
-        raise ValueError(f"matrix entries must be encodings in [0, {ctx.q})")
+        raise ValueError(encodings)
     if square is not None and A.shape != (square, square):
         raise ValueError(f"expected a {square} x {square} matrix, got {A.shape}")
     return A.astype(ctx.dtype)

@@ -12,8 +12,8 @@ import pytest
 from twistcode import (bulk, classify, linalg, make_autspec, make_field,
                        make_system, theta, weight_spectrum)
 from twistcode.code import (_Sweep, is_minimal, m_bound, max_theta_by_rank,
-                            min_weight_sweep, random_nonzero_matrix,
-                            second_weight_check)
+                            min_weight_sweep, random_invertible,
+                            random_nonzero_matrix, second_weight_check)
 from twistcode.linalg import pure_tensor, rank, scalar_mul
 from twistcode.projgeom import class_indices, class_reps_range, num_classes
 from twistcode.rng import SplitMix64
@@ -309,6 +309,23 @@ def test_sampled_theta_holds_one_block_of_draws():
     assert peak < 16 << 20, peak
 
 
+def test_sampled_spectrum_holds_no_array_per_draw():
+    # weight_spectrum bincounts theta one block of draws at a time: 2^21
+    # draws at (4, 2) peaked at 2.4 MB under tracemalloc, against 18.4 MB
+    # with one int64 theta per draw (16 MB of them).  Its counts are the
+    # bincount of sampled_theta's draws, here over three block seams
+    ps = system(2, 2, 1, 2)
+    count = 3 * bulk._SLICE + 5
+    thetas = np.bincount(bulk.sampled_theta(ps.cfg, count, seed=4))
+    assert weight_spectrum(ps, sample=count, seed=4).counts == {
+        4 * (21 - th): c for th, c in enumerate(thetas.tolist()) if c}
+    tracemalloc.start()
+    weight_spectrum(ps, sample=1 << 21, seed=4)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 << 20, peak
+
+
 @pytest.mark.parametrize("cfg", [(2, 2, 1, 2), (3, 2, 1, 2), (2, 11, 1, 1)])
 def test_zero_counts_batch_matches_codewords(cfg):
     ps = system(*cfg)
@@ -391,6 +408,29 @@ def test_cond_theta_sweep_keeps_the_rank_options():
     target = m_bound(3, 4, 2, 2)
     assert cond[target, :, 1].sum() == cond[target].sum() == 360
     assert cond[..., 1].sum() == 360
+
+
+@pytest.mark.parametrize("cfg", [(3, 2, 1, 2), (2, 4, 2, 2)],
+                         ids=["q9n2", "q16n2j2"])
+def test_cond_keys_mark_theta_m3_beyond_s2(cfg):
+    # s = 3 and 4: the check bit, three independent solutions in one norm
+    # class, is set exactly on the classes with theta = m(3).  The slices
+    # are the last classes of the order and those around the class of a
+    # seeded B^-1 sigma(B), whose N(M) = I gives theta = m(3)
+    ps = system(*cfg)
+    ctx, q, k = ps.ctx, ps.ctx.q, ps.k
+    total, width = num_classes(q, k), 1 << 15
+    B = random_invertible(ctx, ps.m, SplitMix64(sum(cfg)))
+    M = linalg.matmul(ctx, linalg.invert(ctx, B), ps.spec.table.take(B))
+    at = int(class_indices(q, linalg.normalize_rep(ctx, M.reshape(-1))[0]))
+    target = m_bound(3, q, 2, ps.spec.s)
+    marked = 0
+    for start in (total - width, min(max(at - width // 2, 0), total - width)):
+        keys = bulk.class_keys(ps.cfg, "cond", start, start + width)
+        bit = (keys & 1).astype(bool)
+        assert np.array_equal(bit, keys // (2 * (ps.m + 1)) == target), start
+        marked += int(bit.sum())
+    assert marked > 0
 
 
 def test_sweep_is_thread_invariant(monkeypatch):
@@ -576,16 +616,17 @@ def test_chunk_boundaries_do_not_lose_classes():
         assert np.array_equal(part["first"].reshape(-1)[cell], start + at)
 
 
-def _class_route(ps):
-    """The theta table per class, np.bincount of class_keys over [0, total),
-    and per cell the index of its first class (int64 max where none)."""
+def _class_route(ps, kind="theta"):
+    """The table of a kind per class, np.bincount of class_keys over
+    [0, total), and per cell the index of its first class (int64 max where
+    none)."""
     b = bulk._bundle(ps.cfg)
     shape = (b.F + 1, b.m + 1, 2)
     total = num_classes(ps.ctx.q, ps.k)
     counts = np.zeros(np.prod(shape), dtype=np.int64)
     first = np.full(np.prod(shape), np.iinfo(np.int64).max)
     for a in range(0, total, 1 << 20):      # pieces: no 19M-key array
-        keys = bulk.class_keys(ps.cfg, "theta", a, min(a + (1 << 20), total))
+        keys = bulk.class_keys(ps.cfg, kind, a, min(a + (1 << 20), total))
         piece = np.bincount(keys, minlength=len(counts))
         if ((piece > 0) & (counts == 0)).any():         # a new cell
             cell, at = np.unique(keys, return_index=True)
@@ -620,6 +661,22 @@ def test_orbit_folded_theta_sweep_matches_the_class_route(cfg, runs,
         sweep = _Sweep(ps, "theta", threads)
         assert np.array_equal(sweep.table, table), (chunk, threads)
         assert np.array_equal(sweep.first, first), (chunk, threads)
+
+
+@pytest.mark.parametrize("kind", ["flag", "cond"])
+def test_check_kind_sweep_matches_the_class_route(kind, monkeypatch):
+    # the check kinds count every chunk of bulk.iter_sweep: chunks of 2^10
+    # (86 at (4, 2)), 4099 (off the q^m grid of the runs) and 2^18 (one
+    # chunk), in-process and on 2 workers, fold to the class route's record
+    ps = system(2, 2, 1, 2)
+    table, first = _class_route(ps, kind)
+    assert table[..., 1].sum() == (360 if kind == "cond" else 0)
+    for chunk in (1 << 10, 4099, 1 << 18):
+        monkeypatch.setattr(bulk, "DEFAULT_CHUNK", chunk)
+        for threads in (1, 2):
+            sweep = _Sweep(ps, kind, threads)
+            assert np.array_equal(sweep.table, table), (chunk, threads)
+            assert np.array_equal(sweep.first, first), (chunk, threads)
 
 
 _ORBIT_CFGS = [(2, 2, 1, 2), (2, 3, 1, 2), (2, 3, 2, 2), (3, 2, 1, 2),

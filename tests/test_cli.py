@@ -109,6 +109,18 @@ def test_theta_rejects_malformed_matrix():
     assert code == 2
 
 
+def test_huge_matrix_entry_is_a_usage_error():
+    # an entry beyond int64, of either sign, is out of range like any other
+    for entry in ("99999999999999999999", str(-10 ** 20)):
+        for cmd in ("theta", "classify"):
+            code, out = run(cmd, "--q", "4", "--j", "1", "--n", "2",
+                            "--matrix", f"1,0,0;0,1,0;0,0,{entry}")
+            assert code == 2, (cmd, entry)
+            assert out["error"] == {
+                "type": "ValueError",
+                "message": "matrix entries must be encodings in [0, 4)"}
+
+
 def test_classify_matrix_units():
     code, out = run("classify", "--q", "4", "--j", "1", "--n", "2",
                     "--matrix", "0,1,0;0,0,0;0,0,0")
@@ -187,6 +199,15 @@ def test_minwords_payload():
                                 "first_mismatch", "ok")} == {
         "classes": 87381, "condition_classes": 360, "mismatches": 0,
         "first_mismatch": None, "ok": True}
+
+
+def test_minwords_beyond_s2_is_limited_by_the_class_cap():
+    # the condition holds at every involutory sigma; at (9, 2) the
+    # 48,427,561 classes are what stop the sweep
+    code, out = run("minwords", "--q", "9", "--j", "1", "--n", "2")
+    assert code == 2
+    assert out["error"]["message"] == ("48427561 classes exceed the "
+                                       "exhaustive cap 20000000")
 
 
 def test_minimality_beyond_the_pair_cap_fails_fast():
@@ -510,6 +531,23 @@ def test_params_argv_fuzz(field, size, t, twist, e, n):
     err = io.StringIO()
     with redirect_stderr(err):
         code, out = run("params", *argv)
+    assert code in (0, 2), argv
+    assert isinstance(out, dict), argv
+    assert "Traceback" not in err.getvalue()
+
+
+@given(st.sampled_from(["theta", "classify"]),
+       st.lists(st.integers(0, 3) | _HUGE, min_size=9, max_size=9))
+@settings(max_examples=100, deadline=10000)
+def test_matrix_argv_fuzz(cmd, entries):
+    # small entries make real matrices, the zero one among them; any other
+    # is out of range, by far or beyond int64.  The "=" form passes a
+    # matrix that starts with a minus sign as a value, not an option
+    rows = ";".join(",".join(map(str, entries[i:i + 3])) for i in (0, 3, 6))
+    argv = [cmd, "--q", "4", "--j", "1", "--n", "2", f"--matrix={rows}"]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code, out = run(*argv)
     assert code in (0, 2), argv
     assert isinstance(out, dict), argv
     assert "Traceback" not in err.getvalue()

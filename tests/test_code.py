@@ -10,7 +10,8 @@ from twistcode import (act, automorphism_check, closed_form_min_distance,
                        second_weight_check, subspace_solution_bound, theta,
                        weight_spectrum)
 from twistcode.code import random_invertible, random_nonzero_matrix
-from twistcode.linalg import mat_add, scalar_mul
+from twistcode.linalg import (invert, mat_add, matmul, scalar_mul,
+                              sigma_entrywise)
 from twistcode.rng import SplitMix64
 
 import naive_ref
@@ -188,6 +189,33 @@ def test_min_weight_condition_and_sweep():
         seen_min |= rep.weight == 56
     with pytest.raises(ValueError):
         min_weight_condition_n2(system(2, 3, 1, 1), np.eye(2))
+
+
+@pytest.mark.parametrize("cfg", [(3, 2, 1, 2), (2, 4, 2, 2), (5, 2, 1, 2)],
+                         ids=["q9", "q16j2", "q25"])
+def test_min_weight_condition_beyond_s2(cfg):
+    # s = 3, 4 and 5: seeded matrices, every other one c B^-1 sigma(B),
+    # whose N(M) = N(c) I gives theta = m(3), the rest plain draws.  The
+    # oracle is naive_theta where naive_ref has the field, else code.theta
+    # with its flag identity check
+    ps = system(*cfg)
+    ctx, q = ps.ctx, ps.ctx.q
+    target = m_bound(3, q, 2, ps.spec.s)
+    nf = naive_ref.make_naive(q) if q in naive_ref.MODULI else None
+    rng = SplitMix64(sum(cfg))
+    marked = 0
+    for i in range(16):
+        if i % 2:
+            B = random_invertible(ctx, 3, rng)
+            M = scalar_mul(ctx, 1 + rng.below(q - 1), matmul(
+                ctx, invert(ctx, B), sigma_entrywise(ctx, ps.spec, B)))
+        else:
+            M = random_nonzero_matrix(ctx, 3, rng)
+        th = (naive_ref.naive_theta(nf, ps.spec.j, M.tolist()) if nf
+              else theta(ps, M).theta)
+        assert min_weight_condition_n2(ps, M) == (th == target), M.tolist()
+        marked += th == target
+    assert marked >= 8
 
 
 def test_second_weight_guard_on_the_small_plane():

@@ -237,3 +237,6 @@ def test_as_matrix_validates():
         as_matrix(ctx, [[1, 0], [0, 1], [0, 0]], square=2)
     with pytest.raises(ValueError):
         as_matrix(ctx, [[4, 0], [0, 1]], square=2)   # out of range
+    for huge in (10 ** 20, -10 ** 20):                # beyond int64 either way
+        with pytest.raises(ValueError, match=r"encodings in \[0, 4\)"):
+            as_matrix(ctx, [[1, 0], [0, huge]], square=2)
