@@ -36,12 +36,11 @@ linalg.rank_batch.  The flag check and the minimality sweep take their
 codewords from ProjectiveSystem.codewords; the minimality sweep ranks
 each codeword's zero rows with subset_ranks.
 
-fixed_scan is the one evaluator of xi M against sigma(xi): theta_batch
-runs it on stacks, with the one minimum-weight condition of the cond
-sweep and code.min_weight_condition_n2, and code.theta on single
-matrices.  Every kernel works through
-linalg.matmul and the FieldCtx array operations, so none of them needs
-the q x q field tables, and each works at every q.
+fixed_scan is the one evaluator of xi M against sigma(xi): code.theta
+runs it on one matrix, theta_batch on stacks, with the minimum-weight
+condition of the cond sweep and min_weight_condition_n2.  Every kernel
+works through linalg.matmul and the FieldCtx array operations, so none
+of them needs the q x q field tables, and each works at every q.
 
 A sweep has one record: each chunk of the global class order counts its
 classes per cell (theta, rank class, check bit) of class_keys and notes
@@ -170,9 +169,8 @@ def fixed_scan(ctx: FieldCtx, funcs: np.ndarray, tau: np.ndarray,
 def theta_batch(b: _Bundle, R: np.ndarray, want_condition: bool = False):
     """Fixed-functional count per matrix in the batch (fixed_scan), and
     with want_condition the minimum-weight condition (n = 2, involutory
-    sigma) of each, else None: three independent solutions xi in one norm
-    class lambda sigma(lambda) of F_s*, ranked by one subset_ranks call per
-    class over the rows with at least three.
+    sigma), else None: three independent solutions xi in one norm class
+    lambda sigma(lambda) of F_s*, one subset_ranks call per class.
     """
     ctx, funcs = b.ctx, b.sys.gamma.funcs_arr
     step = max(1, _PRODUCTS // (b.F * b.k))
@@ -454,10 +452,9 @@ def class_keys(cfg: tuple, kind: str, start: int, stop: int) -> np.ndarray:
     (theta * (m + 1) + rank class) * 2 + bit.  Theta and the rank class
     come from _block_keys, one key per class.  kind picks the check bit:
     "theta" sets none, "flag" marks a violated intersection identity
-    (zero_counts_batch), "cond" the minimum-weight condition, three
-    independent solutions in one norm class (theta_batch's condition; its
-    theta is asserted to equal the block count's) and "minimality" a zero
-    set of rank < k - 1 (subset_ranks).
+    (zero_counts_batch), "cond" the minimum-weight condition of
+    theta_batch (its theta is asserted to equal the block count's) and
+    "minimality" a zero set of rank < k - 1 (subset_ranks).
     Only the check bits build the rows of class_reps_range.
     """
     b = _bundle(cfg)
@@ -718,8 +715,7 @@ def nonzero_draws(ctx: FieldCtx, k: int, count: int,
 
 
 def sampled_theta(cfg: tuple, count: int, seed: int) -> np.ndarray:
-    """Fixed-functional counts of `count` seeded random nonzero matrices,
-    one int64 per draw: the blocks of _theta_blocks, joined."""
+    """The thetas of _theta_blocks joined, one int64 per draw."""
     return np.concatenate([np.zeros(0, np.int64),
                            *_theta_blocks(cfg, count, seed)])
 
